@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover fmt fmt-check vet bench bench-smoke bench-compare serve-smoke chaos-smoke clean
+.PHONY: all build test test-short race cover fmt fmt-check vet bench bench-smoke bench-compare alloc-gate serve-smoke chaos-smoke clean
 
 all: build test
 
@@ -80,6 +80,18 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -compare $$old < bench-compare.out || \
 		{ rm -f bench-compare.out; exit 1; }; \
 	rm -f bench-compare.out
+
+# Runs the hot-path benchmarks that must stay allocation-free in steady
+# state (event kernel, LLC model sequential and random-window access,
+# IO-TLB translation, the end-to-end simulated DMA loop) at a fixed
+# iteration count, and fails if any of them reports non-zero allocs/op.
+# What CI's "Zero-allocation gate" step runs.
+alloc-gate:
+	@out="$$($(GO) test -run '^$$' -bench '^Benchmark(KernelEventLoop|CacheDeviceAccess|CacheRandomWindow|IOMMUTranslate|SimulatedDMARate)$$' \
+		-benchtime 20000x -benchmem .)" || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | awk '/allocs\/op/ { n++; if ($$(NF-1) != 0) { print "FAIL: " $$1 " reports " $$(NF-1) " allocs/op"; bad = 1 } } \
+		END { if (n == 0) { print "FAIL: no benchmark ran"; bad = 1 } exit bad }'
 
 # End-to-end smoke of the sweep service (cmd/pcie-served): boots the
 # server, drives the v1 HTTP API, checks served-vs-CLI byte identity

@@ -690,16 +690,71 @@ func BenchmarkTLPEncodeDecode(b *testing.B) {
 }
 
 // BenchmarkCacheDeviceAccess measures the LLC model's per-access cost,
-// which bounds simulator throughput.
+// which bounds simulator throughput. One untimed pass over the 100000
+// lines it walks allocates their pages first, so the timed loop is the
+// steady state at any -benchtime.
 func BenchmarkCacheDeviceAccess(b *testing.B) {
 	c := mem.NewCache(mem.CacheConfig{SizeBytes: 15 << 20, Ways: 20, LineSize: 64, DDIOWays: 2})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	access := func(i int) {
 		addr := uint64(i%100000) * 64
 		if i%2 == 0 {
 			c.DeviceWrite(addr, true)
 		} else {
 			c.DeviceRead(addr)
+		}
+	}
+	for i := 0; i < 100000; i++ {
+		access(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		access(i)
+	}
+}
+
+// bdwLLC is the LLC of the paper's Broadwell host (Table 1): 25 MB,
+// 20 ways, two of them open to DDIO device writes.
+var bdwLLC = mem.CacheConfig{SizeBytes: 25 << 20, Ways: 20, LineSize: 64, DDIOWays: 2}
+
+// BenchmarkNewSystem measures assembling the two-socket Broadwell
+// memory system, which every sysconf/topo build (one per sweep cell)
+// pays: with the paged LLC it allocates page directories, not lines.
+func BenchmarkNewSystem(b *testing.B) {
+	cfg := mem.Config{
+		Nodes: 2, Cache: bdwLLC,
+		LLCLatency: 50 * sim.Nanosecond, DRAMLatency: 120 * sim.Nanosecond, RemoteLatency: 100 * sim.Nanosecond,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := mem.NewSystem(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCacheRandomWindow measures 64 B device reads and writes at
+// random lines of a host-warmed 16 MB window in the Broadwell LLC: the
+// access pattern of the 16 MB IO-TLB and cold-write pcie-bench phases,
+// which BenchmarkCacheDeviceAccess's sequential walk does not exercise.
+func BenchmarkCacheRandomWindow(b *testing.B) {
+	const window = 16 << 20
+	c := mem.NewCache(bdwLLC)
+	for a := uint64(0); a < window; a += 64 {
+		c.HostTouch(a, true)
+	}
+	x := uint64(88172645463325252) // xorshift64 state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		addr := x % (window / 64) * 64
+		if i%2 == 0 {
+			c.DeviceRead(addr)
+		} else {
+			c.DeviceWrite(addr, true)
 		}
 	}
 }

@@ -12,6 +12,7 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"pciebench/internal/device"
 	"pciebench/internal/hostif"
@@ -329,13 +330,20 @@ func runLatency(t *Target, p Params, name string, writes bool, op func(addr uint
 	if r.err != nil {
 		return nil, r.err
 	}
-	s, err := stats.Summarize(res.Samples)
+	sc := scratchPool.Get().(*stats.Scratch)
+	s, err := sc.Summarize(res.Samples)
+	scratchPool.Put(sc)
 	if err != nil {
 		return nil, err
 	}
 	res.Summary = s
 	return res, nil
 }
+
+// scratchPool recycles the buffers latency summaries sort their
+// samples in, so repeated runs (sweep grids, long benchmark loops) stop
+// allocating one per call.
+var scratchPool = sync.Pool{New: func() any { return new(stats.Scratch) }}
 
 // BandwidthResult is the outcome of a bandwidth benchmark.
 type BandwidthResult struct {

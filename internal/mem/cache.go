@@ -15,6 +15,11 @@
 //     window outgrows the DDIO region.
 //   - Accesses whose home is the remote socket pay the interconnect
 //     latency.
+//
+// The LLC is modeled at full size (15–25 MB in Table 1), but a run only
+// touches its own buffers, so set storage is paged and allocated on the
+// first write into a page: building a system allocates no line
+// metadata at all.
 package mem
 
 // LineState is the state of one cache line.
@@ -27,16 +32,28 @@ const (
 	Dirty
 )
 
-type way struct {
-	tag   uint64
-	use   uint64 // global LRU clock value of last touch
-	epoch uint64 // Thrash generation that allocated the line
-	state LineState
-	ddio  bool // allocated by a device write (counts against the DDIO quota)
-}
+// pageSets is the number of consecutive sets one directory page holds.
+// A 20-way page is ~22 KB.
+const (
+	pageShift = 6
+	pageSets  = 1 << pageShift
+)
 
-type cacheSet struct {
-	ways []way
+// Per-way state byte: the LineState in the low bits, plus ddioBit when
+// a device write allocated the line (it counts against the DDIO quota).
+// Zero is Invalid.
+const (
+	stateMask uint8 = 3
+	ddioBit   uint8 = 4
+)
+
+// page stores pageSets consecutive sets as a structure of arrays: way w
+// of the page's s-th set sits at index s*Ways+w of each array.
+type page struct {
+	epoch uint64   // Thrash generation the page's lines belong to
+	tags  []uint64 // line number held by each way
+	use   []uint64 // global LRU clock value of each way's last touch
+	meta  []uint8  // LineState | ddioBit of each way
 }
 
 // CacheConfig shapes a set-associative LLC.
@@ -50,15 +67,20 @@ type CacheConfig struct {
 // Cache is a set-associative last-level cache with true-LRU replacement
 // and a per-set DDIO allocation quota. It tracks only metadata (tags and
 // states), not data.
+//
+// Sets live in a paged directory. A page is allocated on its first
+// mutating touch (DeviceWrite, HostTouch); until then every line in it
+// is Invalid, and DeviceRead and Contains on it miss without allocating,
+// just as DDIO reads never allocate lines.
 type Cache struct {
 	cfg   CacheConfig
-	sets  []cacheSet
+	pages []*page // nil until the page's first mutating touch
 	clock uint64
-	// epoch implements O(1) Thrash: a line is valid only when its epoch
+	// epoch implements O(1) Thrash: a page is live only when its epoch
 	// matches the cache's, so bumping the cache epoch invalidates every
-	// line without rewriting the (multi-megabyte) way metadata. The
-	// benchmark harness thrashes before every run, so this dominates
-	// setup cost for short runs and sweep grids.
+	// line at once. A stale page reads as all-Invalid and is cleared on
+	// its next mutating touch. The benchmark harness thrashes before
+	// every run.
 	epoch uint64
 
 	// Address-decomposition constants hoisted out of the access path:
@@ -75,6 +97,7 @@ type Cache struct {
 }
 
 // NewCache builds a cache; SizeBytes must be a multiple of Ways*LineSize.
+// It allocates only the page directory.
 func NewCache(cfg CacheConfig) *Cache {
 	if cfg.LineSize <= 0 {
 		cfg.LineSize = 64
@@ -89,7 +112,11 @@ func NewCache(cfg CacheConfig) *Cache {
 	if nsets < 1 {
 		nsets = 1
 	}
-	c := &Cache{cfg: cfg, sets: make([]cacheSet, nsets), nsets: uint64(nsets)}
+	c := &Cache{
+		cfg:   cfg,
+		pages: make([]*page, (nsets+pageSets-1)/pageSets),
+		nsets: uint64(nsets),
+	}
 	c.lineShift = -1
 	if ls := uint64(cfg.LineSize); ls&(ls-1) == 0 {
 		for s := 0; uint64(1)<<s <= ls; s++ {
@@ -99,57 +126,71 @@ func NewCache(cfg CacheConfig) *Cache {
 			}
 		}
 	}
-	// One backing array for every set's ways: building a large LLC is
-	// two allocations instead of one per set, which dominates the cost
-	// of assembling a system instance (sweeps build one per grid cell).
-	backing := make([]way, nsets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i].ways = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-	}
 	return c
 }
 
-// locate decomposes addr into its set and tag in one step. The tag is
-// the line number (identical to tagFor); the set is the line number
-// modulo the set count (identical to setFor).
-func (c *Cache) locate(addr uint64) (*cacheSet, uint64) {
-	var line uint64
+// locate decomposes addr into its tag (the line number), the directory
+// index of its set's page, and the offset of the set's first way in
+// that page.
+func (c *Cache) locate(addr uint64) (pi uint64, base int, tag uint64) {
 	if c.lineShift >= 0 {
-		line = addr >> c.lineShift
+		tag = addr >> c.lineShift
 	} else {
-		line = addr / uint64(c.cfg.LineSize)
+		tag = addr / uint64(c.cfg.LineSize)
 	}
-	return &c.sets[line%c.nsets], line
+	set := tag % c.nsets
+	return set >> pageShift, int(set&(pageSets-1)) * c.cfg.Ways, tag
+}
+
+// live returns page pi when it holds lines of the current epoch, else
+// nil (unallocated or stale: every line Invalid).
+func (c *Cache) live(pi uint64) *page {
+	if p := c.pages[pi]; p != nil && p.epoch == c.epoch {
+		return p
+	}
+	return nil
+}
+
+// own returns page pi ready for a mutating touch: allocated on first
+// use, cleared when it still holds lines from before the last Thrash.
+func (c *Cache) own(pi uint64) *page {
+	p := c.pages[pi]
+	switch {
+	case p == nil:
+		n := int(min(pageSets, c.nsets-pi<<pageShift)) * c.cfg.Ways
+		lines := make([]uint64, 2*n)
+		p = &page{tags: lines[:n:n], use: lines[n:], meta: make([]uint8, n)}
+		c.pages[pi] = p
+	case p.epoch != c.epoch:
+		clear(p.meta)
+	}
+	p.epoch = c.epoch
+	return p
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.sets) }
-
-// stateOf returns the effective state of a way: lines allocated before
-// the last Thrash are Invalid regardless of their stored state.
-func (c *Cache) stateOf(w *way) LineState {
-	if w.epoch != c.epoch {
-		return Invalid
-	}
-	return w.state
-}
+func (c *Cache) Sets() int { return int(c.nsets) }
 
 // Contains reports whether the line holding addr is resident, without
 // disturbing LRU state or statistics.
 func (c *Cache) Contains(addr uint64) bool {
-	s, tag := c.locate(addr)
-	return c.lookup(s, tag) >= 0
+	pi, base, tag := c.locate(addr)
+	p := c.live(pi)
+	return p != nil && p.find(base, c.cfg.Ways, tag) >= 0
 }
 
-// lookup returns the way index of the line in s, or -1.
-func (c *Cache) lookup(s *cacheSet, tag uint64) int {
-	for i := range s.ways {
-		w := &s.ways[i]
-		if w.state != Invalid && w.epoch == c.epoch && w.tag == tag {
-			return i
+// find returns the page index of the way holding tag in the set whose
+// ways start at base, or -1.
+func (p *page) find(base, ways int, tag uint64) int {
+	tags := p.tags[base : base+ways]
+	meta := p.meta[base : base+ways]
+	meta = meta[:len(tags)]
+	for i, t := range tags {
+		if t == tag && meta[i] != 0 {
+			return base + i
 		}
 	}
 	return -1
@@ -167,11 +208,13 @@ type AccessResult struct {
 // allocate on a miss.
 func (c *Cache) DeviceRead(addr uint64) AccessResult {
 	c.clock++
-	s, tag := c.locate(addr)
-	if i := c.lookup(s, tag); i >= 0 {
-		s.ways[i].use = c.clock
-		c.Hits++
-		return AccessResult{Hit: true}
+	pi, base, tag := c.locate(addr)
+	if p := c.live(pi); p != nil {
+		if i := p.find(base, c.cfg.Ways, tag); i >= 0 {
+			p.use[i] = c.clock
+			c.Hits++
+			return AccessResult{Hit: true}
+		}
 	}
 	c.Misses++
 	return AccessResult{Fetched: true}
@@ -184,25 +227,17 @@ func (c *Cache) DeviceRead(addr uint64) AccessResult {
 // is the DDIO latency penalty the paper measures.
 func (c *Cache) DeviceWrite(addr uint64, fullLine bool) AccessResult {
 	c.clock++
-	s, tag := c.locate(addr)
-	if i := c.lookup(s, tag); i >= 0 {
-		s.ways[i].use = c.clock
-		s.ways[i].state = Dirty
+	pi, base, tag := c.locate(addr)
+	p := c.own(pi)
+	if i := p.find(base, c.cfg.Ways, tag); i >= 0 {
+		p.use[i] = c.clock
+		p.meta[i] = p.meta[i]&ddioBit | uint8(Dirty)
 		c.Hits++
 		return AccessResult{Hit: true}
 	}
 	c.Misses++
-	res := AccessResult{Fetched: !fullLine}
-	v := c.victimDDIO(s)
-	if st := c.stateOf(&s.ways[v]); st == Dirty {
-		c.Writebacks++
-		res.EvictedDirty = true
-		c.Evictions++
-	} else if st != Invalid {
-		c.Evictions++
-	}
-	s.ways[v] = way{tag: tag, state: Dirty, ddio: true, use: c.clock, epoch: c.epoch}
-	return res
+	v := p.victimDDIO(base, c.cfg.Ways, c.cfg.DDIOWays)
+	return AccessResult{Fetched: !fullLine, EvictedDirty: c.fill(p, v, tag, uint8(Dirty)|ddioBit)}
 }
 
 // HostTouch simulates the CPU reading (write=false) or writing
@@ -210,86 +245,99 @@ func (c *Cache) DeviceWrite(addr uint64, fullLine bool) AccessResult {
 // Used by the cache-warming control interface (paper §4: "host warm").
 func (c *Cache) HostTouch(addr uint64, write bool) AccessResult {
 	c.clock++
-	s, tag := c.locate(addr)
-	if i := c.lookup(s, tag); i >= 0 {
-		s.ways[i].use = c.clock
+	pi, base, tag := c.locate(addr)
+	p := c.own(pi)
+	if i := p.find(base, c.cfg.Ways, tag); i >= 0 {
+		p.use[i] = c.clock
 		if write {
-			s.ways[i].state = Dirty
+			p.meta[i] = p.meta[i]&ddioBit | uint8(Dirty)
 		}
 		c.Hits++
 		return AccessResult{Hit: true}
 	}
 	c.Misses++
-	res := AccessResult{Fetched: true}
-	v := c.victimAny(s)
-	if vst := c.stateOf(&s.ways[v]); vst == Dirty {
-		c.Writebacks++
-		res.EvictedDirty = true
-		c.Evictions++
-	} else if vst != Invalid {
-		c.Evictions++
-	}
-	st := Clean
+	st := uint8(Clean)
 	if write {
-		st = Dirty
+		st = uint8(Dirty)
 	}
-	s.ways[v] = way{tag: tag, state: st, ddio: false, use: c.clock, epoch: c.epoch}
-	return res
+	v := p.victimAny(base, c.cfg.Ways)
+	return AccessResult{Fetched: true, EvictedDirty: c.fill(p, v, tag, st)}
 }
 
-// victimAny picks an invalid way or the global LRU way.
-func (c *Cache) victimAny(s *cacheSet) int {
+// fill installs tag with state meta in way v, counting the eviction of
+// the line it held, if any. It reports whether that line was dirty.
+func (c *Cache) fill(p *page, v int, tag uint64, meta uint8) bool {
+	dirty := false
+	switch LineState(p.meta[v] & stateMask) {
+	case Dirty:
+		c.Writebacks++
+		c.Evictions++
+		dirty = true
+	case Clean:
+		c.Evictions++
+	}
+	p.tags[v], p.use[v], p.meta[v] = tag, c.clock, meta
+	return dirty
+}
+
+// victimAny picks the set's first invalid way, or its LRU way.
+func (p *page) victimAny(base, ways int) int {
+	meta := p.meta[base : base+ways]
+	use := p.use[base : base+ways]
+	use = use[:len(meta)]
 	best := -1
-	for i := range s.ways {
-		if c.stateOf(&s.ways[i]) == Invalid {
-			return i
+	for i, m := range meta {
+		if m == 0 {
+			return base + i
 		}
-		if best < 0 || s.ways[i].use < s.ways[best].use {
+		if best < 0 || use[i] < use[best] {
 			best = i
 		}
 	}
-	return best
+	return base + best
 }
 
 // victimDDIO picks a victim for a device-write allocation. The DDIO
-// quota is a hard cap: once the set holds DDIOWays device-allocated
-// lines, a new device write must recycle the LRU one of those — even if
+// quota is a hard cap: once the set holds quota device-allocated lines,
+// a new device write must recycle the LRU one of those — even if
 // invalid ways exist — because the hardware dedicates specific ways to
 // IO allocation. Below the quota, an invalid way is preferred, then the
 // set-global LRU way.
-func (c *Cache) victimDDIO(s *cacheSet) int {
+func (p *page) victimDDIO(base, ways, quota int) int {
+	meta := p.meta[base : base+ways]
+	use := p.use[base : base+ways]
+	use = use[:len(meta)]
 	ddioCount := 0
 	bestAll, bestDDIO, firstInvalid := -1, -1, -1
-	for i := range s.ways {
-		if c.stateOf(&s.ways[i]) == Invalid {
+	for i, m := range meta {
+		if m == 0 {
 			if firstInvalid < 0 {
 				firstInvalid = i
 			}
 			continue
 		}
-		if bestAll < 0 || s.ways[i].use < s.ways[bestAll].use {
+		if bestAll < 0 || use[i] < use[bestAll] {
 			bestAll = i
 		}
-		if s.ways[i].ddio {
+		if m&ddioBit != 0 {
 			ddioCount++
-			if bestDDIO < 0 || s.ways[i].use < s.ways[bestDDIO].use {
+			if bestDDIO < 0 || use[i] < use[bestDDIO] {
 				bestDDIO = i
 			}
 		}
 	}
-	if ddioCount >= c.cfg.DDIOWays {
-		return bestDDIO
+	if ddioCount >= quota {
+		return base + bestDDIO
 	}
 	if firstInvalid >= 0 {
-		return firstInvalid
+		return base + firstInvalid
 	}
-	return bestAll
+	return base + bestAll
 }
 
 // Thrash resets the cache to a cold state, as the paper's control
 // programs do before every benchmark run. It is O(1): bumping the
-// cache epoch invalidates every line lazily instead of rewriting the
-// way metadata of the entire LLC.
+// cache epoch turns every page stale at once.
 func (c *Cache) Thrash() {
 	c.epoch++
 }
@@ -300,25 +348,21 @@ func (c *Cache) ResetStats() {
 }
 
 // Occupancy returns the number of resident (non-invalid) lines.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for i := range c.sets {
-		for j := range c.sets[i].ways {
-			if c.stateOf(&c.sets[i].ways[j]) != Invalid {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (c *Cache) Occupancy() int { return c.count(stateMask) }
 
 // DDIOOccupancy returns the number of resident device-allocated lines.
-func (c *Cache) DDIOOccupancy() int {
+func (c *Cache) DDIOOccupancy() int { return c.count(ddioBit) }
+
+// count returns the number of ways in live pages whose state byte has
+// any of bits set.
+func (c *Cache) count(bits uint8) int {
 	n := 0
-	for i := range c.sets {
-		for j := range c.sets[i].ways {
-			if c.stateOf(&c.sets[i].ways[j]) != Invalid && c.sets[i].ways[j].ddio {
-				n++
+	for pi := range c.pages {
+		if p := c.live(uint64(pi)); p != nil {
+			for _, m := range p.meta {
+				if m&bits != 0 {
+					n++
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -364,5 +365,90 @@ func TestDDIOWindowMechanism(t *testing.T) {
 	missRate := float64(s.Node(0).Misses) / float64(s.Node(0).Misses+s.Node(0).Hits)
 	if missRate < 0.9 {
 		t.Errorf("large window miss rate = %.2f, want >= 0.9", missRate)
+	}
+}
+
+// bdwConfig is the memory system of the paper's two-socket Broadwell
+// host: 25 MB, 20-way LLCs with two DDIO ways.
+func bdwConfig() Config {
+	cfg := sysConfig()
+	cfg.Cache = CacheConfig{SizeBytes: 25 << 20, Ways: 20, LineSize: 64, DDIOWays: 2}
+	return cfg
+}
+
+// allocatedPages counts the directory pages that hold storage.
+func allocatedPages(c *Cache) int {
+	n := 0
+	for _, p := range c.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// Building a full-size system allocates only the page directories, not
+// a record per modeled line (the eager model allocated 26 MB here).
+func TestNewSystemAllocatesNoLines(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := NewSystem(bdwConfig())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("NewSystem allocated %d bytes, want < 64 KB", got)
+	}
+	for n := 0; n < 2; n++ {
+		if got := allocatedPages(s.Node(n)); got != 0 {
+			t.Errorf("node %d: %d pages allocated before any access", n, got)
+		}
+	}
+}
+
+// The access paths allocate nothing once their page exists, and reads
+// of an unallocated page neither allocate nor create it.
+func TestCacheAccessZeroAlloc(t *testing.T) {
+	s, err := NewSystem(bdwConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.Node(0)
+	c.DeviceWrite(0, true) // allocates page 0
+	// Addresses walk the first half of page 0, so multi-line accesses
+	// stay inside it.
+	var addr uint64
+	next := func() uint64 { addr = (addr + 64) % (pageSets / 2 * 64); return addr }
+	for name, op := range map[string]func(){
+		"DeviceRead":      func() { c.DeviceRead(next()) },
+		"DeviceWrite":     func() { c.DeviceWrite(next(), addr%128 == 0) },
+		"HostTouch":       func() { c.HostTouch(next(), addr%128 == 0) },
+		"Access read":     func() { s.Access(false, 0, next(), 64) },
+		"Access write":    func() { s.Access(true, 0, next(), 8) },
+		"Access 3 lines":  func() { s.Access(true, 0, next(), 192) },
+		"Access remote":   func() { s.Access(false, 1, next(), 64) },
+		"Contains":        func() { c.Contains(next()) },
+		"Thrash, rewrite": func() { c.Thrash(); c.DeviceWrite(next(), true) },
+	} {
+		if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
+			t.Errorf("%s on an allocated page: %v allocs, want 0", name, allocs)
+		}
+	}
+
+	far := uint64(pageSets * 64) // set pageSets: the first set of page 1
+	if got := allocatedPages(c); got != 1 {
+		t.Fatalf("%d pages allocated, want 1", got)
+	}
+	for name, op := range map[string]func(){
+		"DeviceRead": func() { c.DeviceRead(far) },
+		"Contains":   func() { c.Contains(far) },
+	} {
+		if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
+			t.Errorf("%s on an unallocated page: %v allocs, want 0", name, allocs)
+		}
+		if c.pages[1] != nil {
+			t.Errorf("%s allocated the page it read", name)
+		}
 	}
 }
