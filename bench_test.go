@@ -471,18 +471,21 @@ func fabricSpec(b *testing.B, endpoints, simWorkers int) topo.Spec {
 	return spec
 }
 
-// benchFabric builds the fabric and drives the traffic engine; serial
-// and parallel variants below differ only in the simWorkers knob, so
-// their ns/op delta is the coordinator overhead (this is a 1-core
-// host: the parallel build buys determinism headroom, not speedup).
+// benchFabric builds the fabric with the timer stopped and times the
+// traffic engine's run, so ns/op and allocs/op are the run phase
+// alone. The serial and parallel variants below differ only in the
+// simWorkers knob; their ns/op ratio is the island-parallel speedup
+// on however many cores the host has.
 func benchFabric(b *testing.B, endpoints, simWorkers, pairs int) {
 	b.ReportAllocs()
 	var pps float64
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		fab, err := topo.Build(fabricSpec(b, endpoints, simWorkers))
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.StartTimer()
 		res, err := topo.RunWorkload(fab, workload.Config{Seed: 37, BufferBytes: 1 << 20}, pairs)
 		if err != nil {
 			b.Fatal(err)
@@ -501,18 +504,17 @@ func BenchmarkFabricSerial(b *testing.B) {
 }
 
 // BenchmarkFabricParallel partitions the same fabrics into eight
-// islands (simworkers=4); results are byte-identical to the serial
-// runs, so the comparison isolates the partitioned-kernel overhead.
+// islands run on up to four goroutines (simworkers=4); results are
+// byte-identical to the serial runs.
 func BenchmarkFabricParallel(b *testing.B) {
 	b.Run("8ep", func(b *testing.B) { benchFabric(b, 8, 4, 400) })
 	b.Run("64ep", func(b *testing.B) { benchFabric(b, 64, 4, 60) })
 }
 
 // benchFabricCoupled drives a coupled topology — every endpoint behind
-// one shared gen3x8 switch, a single simulation island — serially or
-// through the windowed barrier-replay build. Results are byte-identical
-// either way, so the ns/op delta isolates the staging/merge overhead.
-func benchFabricCoupled(b *testing.B, endpoints, simWorkers, pairs int) {
+// one shared gen3x8 switch, a single simulation island, so it always
+// runs on one kernel. The build is untimed, as in benchFabric.
+func benchFabricCoupled(b *testing.B, endpoints, pairs int) {
 	b.ReportAllocs()
 	sys, err := sysconf.ByName("NFP6000-BDW")
 	if err != nil {
@@ -521,11 +523,13 @@ func benchFabricCoupled(b *testing.B, endpoints, simWorkers, pairs int) {
 	uplink := pcie.DefaultGen3x8()
 	var pps float64
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		fab, err := sys.Fabric(topo.Shape{Endpoints: endpoints, Switch: &uplink},
-			sysconf.Options{Seed: 37, BufferSize: 1 << 20, NoJitter: true, SimWorkers: simWorkers})
+			sysconf.Options{Seed: 37, BufferSize: 1 << 20, NoJitter: true})
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.StartTimer()
 		res, err := topo.RunWorkload(fab, workload.Config{Seed: 37, BufferBytes: 1 << 20}, pairs)
 		if err != nil {
 			b.Fatal(err)
@@ -539,16 +543,8 @@ func benchFabricCoupled(b *testing.B, endpoints, simWorkers, pairs int) {
 // BenchmarkFabricCoupledSerial is the coupled reference: the shared
 // switch simulated inline on the one event kernel.
 func BenchmarkFabricCoupledSerial(b *testing.B) {
-	b.Run("8ep", func(b *testing.B) { benchFabricCoupled(b, 8, 1, 400) })
-	b.Run("64ep", func(b *testing.B) { benchFabricCoupled(b, 64, 1, 60) })
-}
-
-// BenchmarkFabricCoupledParallel runs the same fabrics as one coupled
-// island: per-endpoint kernels staging pairs, a hub kernel replaying
-// them at window barriers, completions over windowed channels.
-func BenchmarkFabricCoupledParallel(b *testing.B) {
-	b.Run("8ep", func(b *testing.B) { benchFabricCoupled(b, 8, 4, 400) })
-	b.Run("64ep", func(b *testing.B) { benchFabricCoupled(b, 64, 4, 60) })
+	b.Run("8ep", func(b *testing.B) { benchFabricCoupled(b, 8, 400) })
+	b.Run("64ep", func(b *testing.B) { benchFabricCoupled(b, 64, 60) })
 }
 
 // BenchmarkIOMMUTranslate pins the translation hot path at zero
@@ -601,12 +597,14 @@ func BenchmarkIOMMUTranslate(b *testing.B) {
 
 // benchFabricIOMMU drives the split fabric with every DMA translated:
 // per-socket scope gives each socket its own DRHD-style unit, so the
-// fabric still partitions into islands and the serial/parallel delta
-// isolates the coordinator overhead with translation in the hot path.
+// fabric still partitions into islands, and the serial/parallel pair
+// compares the run phase with translation in the hot path. The build
+// is untimed, as in benchFabric.
 func benchFabricIOMMU(b *testing.B, endpoints, simWorkers, pairs int) {
 	b.ReportAllocs()
 	var pps float64
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		spec := fabricSpec(b, endpoints, simWorkers)
 		cfg := iommu.DefaultConfig()
 		spec.IOMMU = &cfg
@@ -615,6 +613,7 @@ func benchFabricIOMMU(b *testing.B, endpoints, simWorkers, pairs int) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.StartTimer()
 		res, err := topo.RunWorkload(fab, workload.Config{Seed: 37, BufferBytes: 1 << 20}, pairs)
 		if err != nil {
 			b.Fatal(err)

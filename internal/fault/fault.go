@@ -30,8 +30,9 @@
 // Every fault decision draws from a dedicated splitmix64 Stream keyed
 // by (endpoint, fault class) — never from the kernel RNG or the
 // per-island jitter streams — and draws happen in fabric-call order,
-// which the coupled-replay machinery keeps identical at every
-// simworkers count. That is the whole determinism argument: same
+// which is identical at every simworkers count because all of an
+// island's endpoints run on one event kernel whatever the worker
+// budget. That is the whole determinism argument: same
 // seed, same call order, same draws, byte-identical results at any
 // parallelism. A nil/zero Config installs nothing at all, so
 // fault-free runs execute exactly the pre-fault code path.

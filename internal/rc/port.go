@@ -189,7 +189,7 @@ func (r *RootComplex) MirrorBAR(p *Port) error {
 }
 
 // crossDomainErr reports a peer-to-peer DMA that would cross simulation
-// domains. The conservative-parallel fabric partitions endpoints into
+// domains. The partitioned parallel fabric splits endpoints into
 // independent event-kernel islands exactly because their traffic never
 // meets; a transfer into another island's BAR would break that
 // invariant, so it must run on a serial (simworkers=1) build instead.

@@ -32,7 +32,7 @@
 //
 // # Partitioned fabrics
 //
-// The conservative-parallel topology layer (internal/topo) builds one
+// The partitioned parallel topology build (internal/topo) makes one
 // RootComplex per independent endpoint island, each bound to its own
 // event kernel; the islands share only the read-only address layout
 // and per-node memory state no two islands both touch. The handoff

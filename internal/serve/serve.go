@@ -282,7 +282,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			workers = n
 		}
 	}
-	// simworkers selects the conservative-parallel simulation budget for
+	// simworkers selects the island-parallel simulation budget for
 	// each multi-endpoint workload fabric cell. Results are byte-identical
 	// at every value, so it never enters the cache key — serial and
 	// parallel submissions share cache entries.

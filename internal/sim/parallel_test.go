@@ -1,256 +1,70 @@
 package sim
 
-import (
-	"math/rand"
-	"reflect"
-	"testing"
-)
+import "testing"
 
-// station is a test model: a node that, on each event, records its
-// (domain, time) trace, mutates local state, and forwards a message to
-// the next domain in a ring after the link latency.
-type station struct {
-	pk      *ParallelKernel
-	id      int
-	next    int
-	latency Time
-	hops    int // remaining forwards
-	trace   []Time
-	sum     int64
-}
-
-func (s *station) Handle(k *Kernel, a, b int64) {
-	s.trace = append(s.trace, k.Now())
-	s.sum = s.sum*31 + a + b
-	if s.hops <= 0 {
-		return
-	}
-	s.hops--
-	// Forward through the ring; the payload mixes local state so any
-	// ordering difference cascades into every downstream sum.
-	at := k.Now() + s.latency
-	s.pk.Send(s.id, s.next, at, s.pk.stations()[s.next], s.sum, a+1)
-}
-
-// stations is stashed on the ParallelKernel via a helper map for test
-// convenience.
-var stationsByPK = map[*ParallelKernel][]*station{}
-
-func (p *ParallelKernel) stations() []*station { return stationsByPK[p] }
-
-// buildRing wires n domains in a ring with the given per-hop latency
-// and seeds each station with an initial local event burst.
-func buildRing(n, hops int, latency Time, seed int64) (*ParallelKernel, []*station) {
-	kernels := make([]*Kernel, n)
-	for i := range kernels {
-		kernels[i] = New(seed + int64(i))
-	}
-	pk := NewParallel(kernels)
-	sts := make([]*station, n)
-	for i := range sts {
-		sts[i] = &station{pk: pk, id: i, next: (i + 1) % n, latency: latency, hops: hops}
-		pk.Connect(i, (i+1)%n, latency)
-	}
-	stationsByPK[pk] = sts
-	rng := rand.New(rand.NewSource(seed))
-	for i, st := range sts {
-		// A few local events per domain, at colliding coarse times, so
-		// FIFO tie-breaks matter.
-		for e := 0; e < 3; e++ {
-			kernels[i].AtEvent(Time(rng.Intn(5))*Nanosecond, st, int64(e), int64(i))
-		}
-	}
-	return pk, sts
-}
-
-// ringResult captures everything observable about a ring run.
-type ringResult struct {
-	End    Time
-	Traces [][]Time
-	Sums   []int64
-	Exec   []uint64
-}
-
-func runRing(n, hops, workers int, latency Time, seed int64) ringResult {
-	pk, sts := buildRing(n, hops, latency, seed)
-	defer delete(stationsByPK, pk)
-	end := pk.Run(workers)
-	res := ringResult{End: end}
-	for _, st := range sts {
-		res.Traces = append(res.Traces, st.trace)
-		res.Sums = append(res.Sums, st.sum)
-	}
-	for i := 0; i < pk.Domains(); i++ {
-		res.Exec = append(res.Exec, pk.Domain(i).Kernel.Executed)
-	}
-	return res
-}
-
-// TestParallelRingDeterministic pins the communicating-ring model to
-// identical results at every worker count, including the single-thread
-// reference schedule.
-func TestParallelRingDeterministic(t *testing.T) {
-	ref := runRing(5, 40, 1, 120*Nanosecond, 7)
-	if len(ref.Traces[0]) == 0 {
-		t.Fatal("reference run executed nothing")
-	}
-	for _, workers := range []int{2, 4, 7} {
-		got := runRing(5, 40, workers, 120*Nanosecond, 7)
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("workers=%d diverged from the serial window schedule:\nref %+v\ngot %+v", workers, ref, got)
-		}
-	}
-}
-
-// TestParallelNoLinksFreeRuns checks the island fast path: with no
-// links, lookahead is unbounded and every domain runs to completion in
-// one window, at any worker count.
+// TestParallelNoLinksFreeRuns pins RunAll's contract: every kernel runs
+// to completion, whatever the worker count — including more workers
+// than kernels.
 func TestParallelNoLinksFreeRuns(t *testing.T) {
-	build := func() (*ParallelKernel, []*int) {
+	for _, workers := range []int{0, 1, 2, 7} {
 		kernels := []*Kernel{New(1), New(2), New(3)}
-		counts := []*int{new(int), new(int), new(int)}
+		counts := make([]int, len(kernels))
 		for i, k := range kernels {
-			c := counts[i]
+			c := &counts[i]
 			for e := 0; e < 10; e++ {
-				k.At(Time(e)*Microsecond, func() { *c++ })
+				k.At(Time(e+i)*Microsecond, func() { *c++ })
 			}
 		}
-		return NewParallel(kernels), counts
-	}
-	for _, workers := range []int{1, 2, 7} {
-		pk, counts := build()
-		if pk.Lookahead() != maxTime {
-			t.Fatalf("lookahead with no links = %v, want max", pk.Lookahead())
-		}
-		end := pk.Run(workers)
-		if end != 9*Microsecond {
-			t.Fatalf("workers=%d: end %v, want 9us", workers, end)
-		}
-		for i, c := range counts {
-			if *c != 10 {
-				t.Fatalf("workers=%d: domain %d ran %d/10 events", workers, i, *c)
+		RunAll(kernels, workers)
+		for i, k := range kernels {
+			if counts[i] != 10 || k.Pending() != 0 {
+				t.Fatalf("workers=%d: kernel %d ran %d/10 events, %d pending", workers, i, counts[i], k.Pending())
+			}
+			if want := Time(9+i) * Microsecond; k.Now() != want {
+				t.Fatalf("workers=%d: kernel %d ended at %v, want %v", workers, i, k.Now(), want)
 			}
 		}
 	}
 }
 
-// TestParallelWindowRespectsLookahead checks that an event above the
-// first window horizon is not executed before a message that should
-// precede it arrives.
-func TestParallelWindowRespectsLookahead(t *testing.T) {
-	kernels := []*Kernel{New(1), New(1)}
-	pk := NewParallel(kernels)
-	lat := 10 * Nanosecond
-	pk.Connect(0, 1, lat)
-
-	var order []string
-	// Domain 1 has a local event at 12ns; domain 0 sends a message at
-	// 0ns arriving at 10ns. Horizon of window 1 is 0+10=10ns, so the
-	// 12ns event must wait for the barrier and run after delivery.
-	kernels[0].At(0, func() {
-		order = append(order, "send")
-		pk.Send(0, 1, lat, funcHandler(func() { order = append(order, "arrive@10") }), 0, 0)
-	})
-	kernels[1].At(12*Nanosecond, func() { order = append(order, "local@12") })
-	pk.Run(1)
-
-	want := []string{"send", "arrive@10", "local@12"}
-	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("execution order %v, want %v", order, want)
-	}
-}
-
-// TestParallelSendValidation pins the guard rails: undeclared links,
-// latency violations and bad link declarations all panic with a clear
-// message.
-func TestParallelSendValidation(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
-	kernels := []*Kernel{New(1), New(1)}
-	pk := NewParallel(kernels)
-	pk.Connect(0, 1, 5*Nanosecond)
-	mustPanic("undeclared link", func() { pk.Send(1, 0, Microsecond, funcHandler(func() {}), 0, 0) })
-	mustPanic("latency violation", func() { pk.Send(0, 1, Nanosecond, funcHandler(func() {}), 0, 0) })
-	mustPanic("self link", func() { pk.Connect(0, 0, Nanosecond) })
-	mustPanic("zero latency", func() { pk.Connect(1, 0, 0) })
-	mustPanic("duplicate link", func() { pk.Connect(0, 1, Nanosecond) })
-	mustPanic("out of range", func() { pk.Connect(0, 9, Nanosecond) })
-	mustPanic("empty", func() { NewParallel(nil) })
-}
-
-// TestParallelRaceStress drives many domains with dense cross-domain
-// traffic at high worker counts; under -race it exercises the staging
-// buffers, the window barrier and the coordinator for unsynchronized
-// access. Results must still match the serial schedule.
-func TestParallelRaceStress(t *testing.T) {
-	for trial := 0; trial < 3; trial++ {
-		seed := int64(9000 + trial)
-		ref := runRing(11, 200, 1, 40*Nanosecond, seed)
-		got := runRing(11, 200, 8, 40*Nanosecond, seed)
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("trial %d: 8-worker run diverged from serial", trial)
-		}
-	}
-}
-
-// TestParallelManyIslandsRace free-runs many unlinked domains, each
-// with its own servers and heap churn, on many workers — the island
-// fast path the fabric partitioner uses.
-func TestParallelManyIslandsRace(t *testing.T) {
-	const domains = 16
-	kernels := make([]*Kernel, domains)
-	finals := make([]Time, domains)
+// serverChain builds n kernels, each driving its own server through a
+// 500-step chain of self-rescheduling events.
+func serverChain(n int) []*Kernel {
+	kernels := make([]*Kernel, n)
 	for i := range kernels {
 		k := New(int64(i + 1))
 		kernels[i] = k
 		srv := NewServer(k)
+		steps := 0
 		var step func()
-		n := 0
 		step = func() {
-			n++
-			done := srv.Schedule(Time(50+n%7) * Nanosecond)
-			if n < 500 {
+			steps++
+			done := srv.Schedule(Time(50+(steps+i)%7) * Nanosecond)
+			if steps < 500 {
 				k.At(done, step)
 			}
 		}
 		k.At(0, step)
 	}
-	pk := NewParallel(kernels)
-	pk.Run(8)
-	for i, k := range kernels {
-		finals[i] = k.Now()
+	return kernels
+}
+
+// TestParallelManyIslandsRace runs many independent kernels, each with
+// its own server and heap churn, on many workers; under -race it
+// checks RunAll's fan-out for unsynchronized access. Every kernel must
+// land on the clock the single-goroutine run reaches.
+func TestParallelManyIslandsRace(t *testing.T) {
+	const kernels = 16
+	ref := serverChain(kernels)
+	RunAll(ref, 1)
+	got := serverChain(kernels)
+	RunAll(got, 8)
+	for i, k := range got {
 		if k.Pending() != 0 || k.Executed != 500 {
-			t.Fatalf("domain %d: pending %d executed %d", i, k.Pending(), k.Executed)
+			t.Fatalf("kernel %d: pending %d executed %d", i, k.Pending(), k.Executed)
 		}
-	}
-	// Same model on one worker must land on the same clocks.
-	kernels2 := make([]*Kernel, domains)
-	for i := range kernels2 {
-		k := New(int64(i + 1))
-		kernels2[i] = k
-		srv := NewServer(k)
-		var step func()
-		n := 0
-		step = func() {
-			n++
-			done := srv.Schedule(Time(50+n%7) * Nanosecond)
-			if n < 500 {
-				k.At(done, step)
-			}
-		}
-		k.At(0, step)
-	}
-	NewParallel(kernels2).Run(1)
-	for i := range kernels2 {
-		if kernels2[i].Now() != finals[i] {
-			t.Fatalf("domain %d: parallel %v vs serial %v", i, finals[i], kernels2[i].Now())
+		if k.Now() != ref[i].Now() {
+			t.Fatalf("kernel %d: 8 workers ended at %v, one worker at %v", i, k.Now(), ref[i].Now())
 		}
 	}
 }

@@ -126,21 +126,12 @@ func TestPropertyReplayIdentical(t *testing.T) {
 	}
 }
 
-// randNet is a randomized communicating-domain model for the parallel
-// kernel: a random directed link topology with random latencies, random
-// initial event bursts, and handlers that forward state-mixing messages
-// over random outgoing links. Every observable (per-domain event trace,
-// state sums, executed counts, final clocks) is returned for comparison.
-type randNet struct {
-	pk    *ParallelKernel
-	nodes []*randNode
-}
-
+// randNode is one kernel of a randomized independent-kernel model:
+// random initial event bursts, and handlers that mix their arguments
+// into local state and reschedule themselves at random offsets drawn
+// from the node's own stream, so any change in a kernel's event order
+// cascades into its trace and sum.
 type randNode struct {
-	net   *randNet
-	id    int
-	out   []int // destination domain ids with declared links
-	lat   []Time
 	rng   *rand.Rand
 	hops  int
 	trace []Time
@@ -150,89 +141,55 @@ type randNode struct {
 func (n *randNode) Handle(k *Kernel, a, b int64) {
 	n.trace = append(n.trace, k.Now())
 	n.sum = n.sum*131 + a*7 + b
-	if n.hops <= 0 || len(n.out) == 0 {
+	if n.hops <= 0 {
 		return
 	}
 	n.hops--
-	// The choice of link draws from the node's own deterministic rng,
-	// in event-execution order — identical across worker counts if and
-	// only if the window schedule is.
-	i := n.rng.Intn(len(n.out))
-	dst := n.out[i]
-	at := k.Now() + n.lat[i] + Time(n.rng.Intn(30))*Nanosecond
-	n.net.pk.Send(n.id, dst, at, n.net.nodes[dst], n.sum, int64(n.id))
+	k.AfterEvent(Time(n.rng.Intn(30))*Nanosecond, n, n.sum, a+1)
 }
 
-// runRandNet builds and runs one randomized model; the construction is
-// a pure function of (domains, seed), so runs differ only in workers.
-func runRandNet(domains, workers int, seed int64) ([][]Time, []int64, []Time) {
+// runRandKernels builds and runs one randomized model; construction is
+// a pure function of (kernels, seed), so runs differ only in workers.
+// It returns every observable: per-kernel traces, sums and clocks.
+func runRandKernels(kernels, workers int, seed int64) ([][]Time, []int64, []Time) {
 	rng := rand.New(rand.NewSource(seed))
-	kernels := make([]*Kernel, domains)
-	for i := range kernels {
-		kernels[i] = New(seed*100 + int64(i))
-	}
-	pk := NewParallel(kernels)
-	net := &randNet{pk: pk}
-	for i := 0; i < domains; i++ {
-		net.nodes = append(net.nodes, &randNode{
-			net: net, id: i, rng: rand.New(rand.NewSource(seed*1000 + int64(i))),
-			hops: 20 + rng.Intn(40),
-		})
-	}
-	// Random sparse link topology; latencies span a wide range so the
-	// lookahead window is set by the shortest one.
-	for src := 0; src < domains; src++ {
-		for dst := 0; dst < domains; dst++ {
-			if src == dst || rng.Intn(3) != 0 {
-				continue
-			}
-			lat := Time(10+rng.Intn(500)) * Nanosecond
-			pk.Connect(src, dst, lat)
-			n := net.nodes[src]
-			n.out = append(n.out, dst)
-			n.lat = append(n.lat, lat)
-		}
-	}
-	for i, n := range net.nodes {
+	ks := make([]*Kernel, kernels)
+	nodes := make([]*randNode, kernels)
+	for i := range ks {
+		ks[i] = New(seed*100 + int64(i))
+		nodes[i] = &randNode{rng: rand.New(rand.NewSource(seed*1000 + int64(i))), hops: 20 + rng.Intn(40)}
 		for e := 0; e < 1+rng.Intn(4); e++ {
-			kernels[i].AtEvent(Time(rng.Intn(40))*Nanosecond, n, int64(e), int64(i))
+			ks[i].AtEvent(Time(rng.Intn(40))*Nanosecond, nodes[i], int64(e), int64(i))
 		}
 	}
-	pk.Run(workers)
+	RunAll(ks, workers)
 	var traces [][]Time
 	var sums []int64
 	var clocks []Time
-	for _, n := range net.nodes {
+	for i, n := range nodes {
 		traces = append(traces, n.trace)
 		sums = append(sums, n.sum)
-	}
-	for _, k := range kernels {
-		clocks = append(clocks, k.Now())
+		clocks = append(clocks, ks[i].Now())
 	}
 	return traces, sums, clocks
 }
 
-// Property: randomized multi-domain topologies, seeds and lookahead
-// windows produce byte-identical traces under the parallel kernel at
-// P = 1, 2, 4 and 7 workers.
+// Property: randomized sets of independent kernels produce identical
+// traces under RunAll at 1, 2, 4 and 7 workers.
 func TestPropertyParallelWorkerCountInvariance(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		seed := int64(4000 + trial)
-		domains := 2 + trial%6
-		refTraces, refSums, refClocks := runRandNet(domains, 1, seed)
-		total := 0
-		for _, tr := range refTraces {
-			total += len(tr)
-		}
-		if total == 0 {
+		kernels := 2 + trial%6
+		refTraces, refSums, refClocks := runRandKernels(kernels, 1, seed)
+		if len(refTraces[0]) == 0 {
 			t.Fatalf("trial %d: model executed nothing", trial)
 		}
 		for _, workers := range []int{2, 4, 7} {
-			traces, sums, clocks := runRandNet(domains, workers, seed)
+			traces, sums, clocks := runRandKernels(kernels, workers, seed)
 			if !reflect.DeepEqual(refTraces, traces) ||
 				!reflect.DeepEqual(refSums, sums) ||
 				!reflect.DeepEqual(refClocks, clocks) {
-				t.Fatalf("trial %d: workers=%d diverged from the serial window schedule", trial, workers)
+				t.Fatalf("trial %d: workers=%d diverged from the one-worker run", trial, workers)
 			}
 		}
 	}

@@ -24,21 +24,12 @@
 // without the per-push interface boxing and with a shallower, more
 // cache-friendly sift path.
 //
-// # Parallel domains
+// # Independent kernels
 //
-// ParallelKernel coordinates several Kernels as one conservative
-// parallel simulation (parallel.go). Each domain keeps the (time,seq)
-// FIFO semantics of its own heap; the coordinator advances all domains
-// in time windows of width lookahead — the minimum propagation latency
-// of any declared cross-domain link — so a domain can execute every
-// event strictly below the window horizon before any message from a
-// peer could arrive. Cross-domain events flow through per-(src,dst)
-// ordered channels staged during the window and delivered at the
-// barrier in a fixed link order, which makes destination sequence
-// numbers — and therefore all tie-breaks and results — a pure function
-// of the simulation, byte-identical at any worker count. Domains with
-// no links (independent islands of a partitioned PCIe fabric) free-run
-// to completion in a single window with zero coordination overhead.
+// A partitioned fabric runs one Kernel per simulation island. Islands
+// share no state and exchange no events, so RunAll (parallel.go) simply
+// runs each kernel to completion, on up to a given number of
+// goroutines; results are byte-identical at any worker count.
 package sim
 
 import (
@@ -248,29 +239,6 @@ func (k *Kernel) RunUntil(t Time) {
 	if k.now < t {
 		k.now = t
 	}
-}
-
-// RunBefore executes events with timestamps strictly below t and leaves
-// the clock at the last executed event. Events at or beyond t remain
-// queued. This is the conservative-window primitive of ParallelKernel:
-// a domain may safely run everything below the window horizon, because
-// no cross-domain message can arrive earlier.
-func (k *Kernel) RunBefore(t Time) {
-	for len(k.events) > 0 && k.events[0].at < t {
-		e := k.pop()
-		k.now = e.at
-		k.Executed++
-		e.h.Handle(k, e.a, e.b)
-	}
-}
-
-// NextEventTime returns the timestamp of the earliest queued event, or
-// false when the queue is empty.
-func (k *Kernel) NextEventTime() (Time, bool) {
-	if len(k.events) == 0 {
-		return 0, false
-	}
-	return k.events[0].at, true
 }
 
 // Pending returns the number of queued events.

@@ -28,11 +28,15 @@ type Engine struct {
 	// Workers is the runner pool size for cache misses; <= 0 selects
 	// GOMAXPROCS. Results are byte-identical for every value.
 	Workers int
-	// SimWorkers is the conservative-parallel simulation budget for
+	// SimWorkers is the island-parallel simulation budget for
 	// multi-endpoint workload fabric cells; <= 1 simulates serially.
 	// Results are byte-identical for every value, which is why — unlike
 	// Quality — SimWorkers is deliberately NOT part of the cache key: a
 	// cell computed at any worker count serves requests at every other.
+	// The identity is pinned in internal/topo over generated topologies,
+	// arrival processes, fault configs and fabric reuse
+	// (TestPropertyParallelFabricInvariance, TestOpenLoopIslandIdentity,
+	// TestReusedFabricRetrainIdentity, TestFaultWorkerIdentity).
 	SimWorkers int
 	// Quality resolves transaction counts left at zero; it is part of
 	// the cache key (quick and full results never alias).

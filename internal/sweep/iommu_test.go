@@ -10,9 +10,9 @@ import (
 // TestIOMMUScaleGolden pins the IOMMU-scope sweep: the JSON spec
 // round-trips, runs byte-identically at workers 1/4/7 in every format,
 // and matches the checked-in golden TSV. The grid crosses endpoint
-// count with translation-unit scope, so both the hub-bound global unit
-// and the per-socket DRHD path are exercised through the full sweep
-// engine.
+// count with translation-unit scope, so both the global unit (one
+// serially built island) and the per-socket DRHD path are exercised
+// through the full sweep engine.
 func TestIOMMUScaleGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("topology golden skipped in -short")

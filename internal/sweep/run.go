@@ -137,8 +137,8 @@ type RunOptions struct {
 	// Workers is the runner pool size; <= 0 selects GOMAXPROCS. The
 	// result is byte-identical for every value.
 	Workers int
-	// SimWorkers is the per-cell conservative-parallel simulation
-	// budget for multi-endpoint workload fabrics; <= 1 (the default)
+	// SimWorkers is the per-cell island-parallel simulation budget
+	// for multi-endpoint workload fabrics; <= 1 (the default)
 	// simulates serially. Like Workers, results are byte-identical for
 	// every value.
 	SimWorkers int
@@ -378,8 +378,8 @@ func measureWorkload(inst *sysconf.Instance, cfg Config) (Measurement, error) {
 
 // measureFabric runs the cell on a multi-endpoint fabric: the p2p
 // transfer benchmark, or the traffic engine on every endpoint at once.
-// simWorkers > 1 asks the workload path for a conservative-parallel
-// fabric (results stay byte-identical; see internal/topo); the p2p
+// simWorkers > 1 asks the workload path for a partitioned fabric
+// (results stay byte-identical; see internal/topo); the p2p
 // benchmark couples its endpoints and always builds serially.
 func measureFabric(cfg Config, simWorkers int) (Measurement, error) {
 	sys, err := sysconf.ByName(cfg.System)

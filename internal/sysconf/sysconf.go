@@ -203,10 +203,10 @@ type Options struct {
 	// the paper's setup). Used by the Gen4 projection experiments the
 	// paper's §6 anticipates.
 	Link *pcie.LinkConfig
-	// SimWorkers asks for a conservative-parallel fabric on up to this
-	// many worker goroutines (<= 1 builds serially). Results are
+	// SimWorkers asks for a partitioned fabric run on up to this many
+	// worker goroutines (<= 1 builds serially). Results are
 	// byte-identical at every value; parallelism only materializes when
-	// the topology splits into independent endpoint islands.
+	// the topology splits into several independent endpoint islands.
 	SimWorkers int
 	// Faults arms deterministic fault injection (BER corruption and
 	// replay, completion timeouts, link retrains — see internal/fault)

@@ -39,13 +39,12 @@ func coupledFabric(t *testing.T, endpoints int, sw bool, jitter bool, simWorkers
 	return fab
 }
 
-// TestCoupledFabricByteIdentical is the tentpole contract for coupled
-// topologies: an 8-endpoint fabric sharing a switch (and one sharing a
-// socket) reproduces the serial build's workload results byte for byte
-// at every worker count, with the traffic flowing through windowed
-// channels and barrier replay instead of one collapsed island. The
-// worker-4 result is additionally pinned to a committed golden.
-// Regenerate with `go test ./internal/topo -run CoupledFabricByteIdentical -update`.
+// TestCoupledFabricByteIdentical pins coupled topologies: an
+// 8-endpoint fabric sharing a switch (and one sharing a socket) forms
+// one island, so it builds serially at every worker count and
+// reproduces the serial result byte for byte. The serial result is
+// pinned to a committed golden. Regenerate with
+// `go test ./internal/topo -run CoupledFabricByteIdentical -update`.
 func TestCoupledFabricByteIdentical(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -68,11 +67,8 @@ func TestCoupledFabricByteIdentical(t *testing.T) {
 			}
 			for _, w := range []int{2, 4, 7} {
 				fab := coupledFabric(t, 8, tc.sw, false, w)
-				if !fab.Parallel() || len(fab.Coupled) != 1 || len(fab.Coupled[0].Endpoints) != 8 {
-					t.Fatalf("simworkers=%d: want one coupled island of 8, got %+v", w, fab.Coupled)
-				}
-				if fab.Coupled[0].Lookahead < sim.Picosecond {
-					t.Fatalf("lookahead %v below the channel floor", fab.Coupled[0].Lookahead)
+				if fab.Parallel() || len(fab.Coupled) != 0 {
+					t.Fatalf("simworkers=%d: one-island fabric did not build serially (%d kernels)", w, len(fab.Kernels))
 				}
 				res, err := topo.RunWorkload(fab, cfg, 200)
 				if err != nil {
@@ -105,10 +101,10 @@ func TestCoupledFabricByteIdentical(t *testing.T) {
 }
 
 // TestJitteryFabricByteIdentical pins the per-island jitter streams:
-// with the root-complex jitter model enabled, coupled fabrics (island
-// 0 keeps the kernel stream, drawn in replay order) and split fabrics
-// (islands beyond the first draw derived streams) still reproduce the
-// serial build byte for byte at every worker count.
+// with the root-complex jitter model enabled, coupled fabrics (one
+// island, built serially on the kernel stream) and split fabrics
+// (islands beyond the first draw derived streams) reproduce the serial
+// build byte for byte at every worker count.
 func TestJitteryFabricByteIdentical(t *testing.T) {
 	cfg := workload.Config{Seed: 5, BufferBytes: 1 << 20}
 
@@ -120,8 +116,8 @@ func TestJitteryFabricByteIdentical(t *testing.T) {
 		}
 		for _, w := range []int{2, 4, 7} {
 			fab := coupledFabric(t, 4, true, true, w)
-			if !fab.Parallel() || len(fab.Coupled) != 1 {
-				t.Fatalf("simworkers=%d: jittery switched fabric did not couple-build", w)
+			if fab.Parallel() {
+				t.Fatalf("simworkers=%d: jittery switched fabric did not build serially", w)
 			}
 			res, err := topo.RunWorkload(fab, cfg, 150)
 			if err != nil {
@@ -170,7 +166,8 @@ func TestJitteryFabricByteIdentical(t *testing.T) {
 
 // TestPropertyCoupledInvariance randomizes coupled topologies (endpoint
 // count, switched or socket-shared, jitter, queue count, seeds) and
-// checks that every worker count reproduces the serial result exactly.
+// checks that every worker count builds them serially and reproduces
+// the serial result exactly.
 func TestPropertyCoupledInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	trials := 5
@@ -196,8 +193,8 @@ func TestPropertyCoupledInvariance(t *testing.T) {
 		}
 		for _, w := range []int{2, 4, 7} {
 			fab := coupledFabric(t, endpoints, sw, jitter, w)
-			if !fab.Parallel() || len(fab.Coupled) != 1 {
-				t.Fatalf("%s: simworkers=%d did not couple-build", label, w)
+			if fab.Parallel() {
+				t.Fatalf("%s: simworkers=%d did not build serially", label, w)
 			}
 			res, err := topo.RunWorkload(fab, cfg, pairs)
 			if err != nil {
@@ -211,10 +208,10 @@ func TestPropertyCoupledInvariance(t *testing.T) {
 }
 
 // TestPeersCoupling pins the declared-P2P bugfix: naming a peer pair in
-// Spec.Peers pulls both endpoints into one island, so their BAR traffic
-// routes inside one address map instead of hitting the runtime
-// "crosses simulation domains" refusal — while the fabric still builds
-// in parallel form.
+// Spec.Peers pulls both endpoints into one island, so the pair builds
+// serially even at SimWorkers 4 and its BAR traffic routes inside one
+// address map instead of hitting the runtime "crosses simulation
+// domains" refusal.
 func TestPeersCoupling(t *testing.T) {
 	spec := func(peers [][2]int) topo.Spec {
 		sys, err := sysconf.ByName("NFP6000-BDW")
@@ -251,18 +248,14 @@ func TestPeersCoupling(t *testing.T) {
 		t.Fatalf("undeclared peer write: err %v, want a domain-crossing rejection", err)
 	}
 
-	// Declaring the pair couples them: one island, one hub, and the
-	// peer write goes through.
+	// Declaring the pair couples them into one island, which builds
+	// serially, and the peer write goes through.
 	fab, err = topo.Build(spec([][2]int{{0, 1}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fab.Islands) != 1 || len(fab.Coupled) != 1 ||
-		!reflect.DeepEqual(fab.Coupled[0].Endpoints, []int{0, 1}) {
-		t.Fatalf("peered fabric: islands %v coupled %+v, want one coupled island {0,1}", fab.Islands, fab.Coupled)
-	}
-	if !fab.Parallel() {
-		t.Fatal("peered fabric lost its parallel build")
+	if fab.Parallel() || !reflect.DeepEqual(fab.Islands, [][]int{{0, 1}}) {
+		t.Fatalf("peered fabric: %d kernels, islands %v, want one serial island {0,1}", len(fab.Kernels), fab.Islands)
 	}
 	addr, err = fab.BARAddr(1, 0)
 	if err != nil {

@@ -17,8 +17,7 @@ import (
 
 // iommuFabric builds a split-socket NFP6000-BDW fabric with every DMA
 // translated through the IOMMU under the given unit scope. Jitter stays
-// on: translation rides the same replay protocol as the rest of the
-// fabric traffic, so determinism must hold on the jittery path too.
+// on, so determinism must hold on the jittery path too.
 func iommuFabric(t *testing.T, endpoints, workers int, scope string, fc *fault.Config) *topo.Fabric {
 	t.Helper()
 	sys, err := sysconf.ByName("NFP6000-BDW")
@@ -51,11 +50,12 @@ func iommuStats(f *topo.Fabric) [3]uint64 {
 	return s
 }
 
-// TestIOMMUFabricWorkerIdentity is the tentpole determinism property
-// for translated fabrics: under both unit scopes — per-socket DRHD
-// units riding their island's kernel, and one global unit bound to the
-// hub — jittery, fault-injected workload runs are byte-identical at
-// every worker count, translation counters included.
+// TestIOMMUFabricWorkerIdentity is the determinism property for
+// translated fabrics: under both unit scopes — per-socket DRHD units
+// riding their island's kernel, and one global unit that couples every
+// endpoint into one serially built island — jittery, fault-injected
+// workload runs are byte-identical at every worker count, translation
+// counters included.
 func TestIOMMUFabricWorkerIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1009))
 	trials := 4
@@ -84,8 +84,8 @@ func TestIOMMUFabricWorkerIdentity(t *testing.T) {
 				refStats := iommuStats(serial)
 				for _, w := range []int{2, 4, 7} {
 					fab := iommuFabric(t, endpoints, w, scope, fc)
-					if !fab.Parallel() {
-						t.Fatalf("workers=%d: translated fabric stayed serial", w)
+					if want := scope == topo.IOMMUScopePerSocket; fab.Parallel() != want {
+						t.Fatalf("workers=%d: %s-scope fabric built parallel=%v, want %v", w, scope, fab.Parallel(), want)
 					}
 					res, err := topo.RunWorkload(fab, cfg, pairs)
 					if err != nil {
@@ -140,7 +140,7 @@ func TestIOMMUGoldenSplit(t *testing.T) {
 }
 
 // TestIOMMUGoldenShared pins the global-scope run: one shared unit
-// bound to the hub kernel of the single coupled island.
+// coupling every endpoint into one island, built serially.
 func TestIOMMUGoldenShared(t *testing.T) {
 	iommuGolden(t, topo.IOMMUScopeGlobal, "iommu_shared.golden.json")
 }

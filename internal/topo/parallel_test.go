@@ -3,6 +3,7 @@ package topo_test
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,7 +11,7 @@ import (
 	"strings"
 	"testing"
 
-	"pciebench/internal/sim"
+	"pciebench/internal/pcie"
 	"pciebench/internal/sysconf"
 	"pciebench/internal/topo"
 	"pciebench/internal/workload"
@@ -59,20 +60,22 @@ func TestParallelFabricByteIdentical(t *testing.T) {
 		if !reflect.DeepEqual(fab.Islands, want) {
 			t.Fatalf("islands %v, want %v", fab.Islands, want)
 		}
-		// Each island holds two endpoints coupled by a shared socket, so
-		// the linked build gives every member its own kernel and routes
-		// the shared fabric through a hub per island.
-		if len(fab.Coupled) != 2 ||
-			!reflect.DeepEqual(fab.Coupled[0].Endpoints, []int{0, 2}) ||
-			!reflect.DeepEqual(fab.Coupled[1].Endpoints, []int{1, 3}) {
-			t.Fatalf("coupled groups %+v, want islands {0,2} and {1,3}", fab.Coupled)
+		// Each island holds two endpoints coupled by a shared socket;
+		// both run on the island's one kernel, and the two islands'
+		// kernels are distinct.
+		wantGroups := []topo.CoupledGroup{{Island: 0, Endpoints: []int{0, 2}}, {Island: 1, Endpoints: []int{1, 3}}}
+		if !reflect.DeepEqual(fab.Coupled, wantGroups) {
+			t.Fatalf("coupled groups %+v, want %+v", fab.Coupled, wantGroups)
 		}
-		kset := map[*sim.Kernel]bool{}
-		for i := range fab.Endpoints {
-			kset[fab.EndpointKernel(i)] = true
+		for d, isl := range fab.Islands {
+			for _, i := range isl {
+				if fab.EndpointKernel(i) != fab.Kernels[d] {
+					t.Fatalf("endpoint %d does not run on island %d's kernel", i, d)
+				}
+			}
 		}
-		if len(kset) != len(fab.Endpoints) {
-			t.Fatalf("coupled members share kernels: %d distinct of %d", len(kset), len(fab.Endpoints))
+		if len(fab.Kernels) != 2 || fab.Kernels[0] == fab.Kernels[1] {
+			t.Fatalf("want two distinct island kernels, got %d", len(fab.Kernels))
 		}
 		res, err := topo.RunWorkload(fab, cfg, 400)
 		if err != nil {
@@ -120,8 +123,10 @@ func TestParallelFabricGolden(t *testing.T) {
 // manyIslandSpec derives a many-socket spec from the BDW calibration:
 // sockets NUMA nodes, endpoints round-robined across them with
 // socket-local buffers, so the partitioner yields min(sockets,
-// endpoints) islands.
-func manyIslandSpec(t *testing.T, sockets, endpoints int, seed int64, simWorkers int) topo.Spec {
+// endpoints) islands. jitter turns the root-complex jitter model on;
+// twoSwitches puts a gen3x8 switch on each of sockets 0 and 1,
+// carrying every endpoint of its socket.
+func manyIslandSpec(t *testing.T, sockets, endpoints int, seed int64, simWorkers int, jitter, twoSwitches bool) topo.Spec {
 	t.Helper()
 	sys, err := sysconf.ByName("NFP6000-BDW")
 	if err != nil {
@@ -129,7 +134,7 @@ func manyIslandSpec(t *testing.T, sockets, endpoints int, seed int64, simWorkers
 	}
 	spec, err := sys.TopoSpec(
 		topo.Shape{Endpoints: 2, Placement: "split", LocalBuffers: true},
-		sysconf.Options{Seed: seed, BufferSize: 1 << 20, NoJitter: true},
+		sysconf.Options{Seed: seed, BufferSize: 1 << 20, NoJitter: !jitter},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +154,16 @@ func manyIslandSpec(t *testing.T, sockets, endpoints int, seed int64, simWorkers
 		ep.Name = ""
 		ep.Socket = i % sockets
 		ep.BufferNode = i % sockets
+		if twoSwitches && ep.Socket < 2 {
+			ep.Switch = ep.Socket
+		}
 		spec.Endpoints = append(spec.Endpoints, ep)
+	}
+	if twoSwitches {
+		spec.Switches = []topo.SwitchSpec{
+			topo.DefaultSwitch(pcie.DefaultGen3x8(), 0),
+			topo.DefaultSwitch(pcie.DefaultGen3x8(), 1),
+		}
 	}
 	spec.SimWorkers = simWorkers
 	return spec
@@ -168,12 +182,36 @@ func runSpecWorkload(t *testing.T, spec topo.Spec, cfg workload.Config, pairs in
 	return fab, res
 }
 
+// randomArrival draws an arrival process of the given kind (0
+// saturating, 1 Poisson bursts, 2 fixed rate) for a generated
+// workload, at a per-endpoint offered load from below to above what
+// one endpoint sustains.
+func randomArrival(t *testing.T, rng *rand.Rand, kind int) (string, workload.Arrival) {
+	t.Helper()
+	rate := []string{"500K", "1M", "2M", "4M"}[rng.Intn(4)]
+	var spec string
+	switch kind {
+	case 0:
+		spec = "saturate"
+	case 1:
+		spec = fmt.Sprintf("poisson:%s:burst=%d", rate, []int{1, 4, 16}[rng.Intn(3)])
+	default:
+		spec = "rate:" + rate
+	}
+	arr, err := workload.ParseArrival(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec, arr
+}
+
 // TestPropertyParallelFabricInvariance randomizes the topology (socket
-// count, endpoint count, seeds, queue counts) and checks that every
-// worker count reproduces the serial result exactly.
+// count, endpoint count, jitter, a two-switch variant), the workload
+// (seeds, queue counts, arrival process) and checks that every worker
+// count reproduces the serial result exactly.
 func TestPropertyParallelFabricInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	trials := 6
+	trials := 12
 	if testing.Short() {
 		trials = 3
 	}
@@ -181,21 +219,27 @@ func TestPropertyParallelFabricInvariance(t *testing.T) {
 		sockets := 2 + rng.Intn(7)         // 2..8
 		endpoints := sockets + rng.Intn(5) // >= sockets, so every island is populated
 		seed := int64(1 + rng.Intn(1000))
+		jitter := rng.Intn(2) == 0
+		twoSwitches := rng.Intn(2) == 0
+		arrSpec, arr := randomArrival(t, rng, trial%3) // every kind, even with -short
 		cfg := workload.Config{
 			Seed:        int64(1 + rng.Intn(1000)),
 			Queues:      1 + rng.Intn(2),
 			BufferBytes: 1 << 20,
+			Arrival:     arr,
 		}
 		pairs := 100 + rng.Intn(150)
+		label := fmt.Sprintf("trial %d (sockets=%d endpoints=%d jitter=%v switches=%v arrival=%s)",
+			trial, sockets, endpoints, jitter, twoSwitches, arrSpec)
 
-		_, ref := runSpecWorkload(t, manyIslandSpec(t, sockets, endpoints, seed, 1), cfg, pairs)
+		_, ref := runSpecWorkload(t, manyIslandSpec(t, sockets, endpoints, seed, 1, jitter, twoSwitches), cfg, pairs)
 		for _, w := range []int{2, 4, 7} {
-			fab, res := runSpecWorkload(t, manyIslandSpec(t, sockets, endpoints, seed, w), cfg, pairs)
+			fab, res := runSpecWorkload(t, manyIslandSpec(t, sockets, endpoints, seed, w, jitter, twoSwitches), cfg, pairs)
 			if len(fab.Islands) != sockets {
-				t.Fatalf("trial %d: %d islands from %d sockets", trial, len(fab.Islands), sockets)
+				t.Fatalf("%s: %d islands from %d sockets", label, len(fab.Islands), sockets)
 			}
 			if !reflect.DeepEqual(ref, res) {
-				t.Fatalf("trial %d (sockets=%d endpoints=%d workers=%d): parallel run diverged", trial, sockets, endpoints, w)
+				t.Fatalf("%s: workers=%d diverged from serial", label, w)
 			}
 		}
 	}
@@ -209,8 +253,8 @@ func TestParallelFabric64Endpoints(t *testing.T) {
 		t.Skip("64-endpoint fabric is slow; skipped with -short")
 	}
 	cfg := workload.Config{Seed: 3, BufferBytes: 1 << 20}
-	_, ref := runSpecWorkload(t, manyIslandSpec(t, 8, 64, 5, 1), cfg, 60)
-	fab, res := runSpecWorkload(t, manyIslandSpec(t, 8, 64, 5, 4), cfg, 60)
+	_, ref := runSpecWorkload(t, manyIslandSpec(t, 8, 64, 5, 1, false, false), cfg, 60)
+	fab, res := runSpecWorkload(t, manyIslandSpec(t, 8, 64, 5, 4, false, false), cfg, 60)
 	if len(fab.Islands) != 8 || len(fab.Islands[0]) != 8 {
 		t.Fatalf("expected 8 islands of 8, got %v", fab.Islands)
 	}
@@ -251,12 +295,12 @@ func TestParallelFabricRejectsCrossDomainTraffic(t *testing.T) {
 	}
 }
 
-// TestParallelFallbacks pins the partitioning policy edges: a
-// single-endpoint shape has nothing to split and stays serial — while
-// jitter, shared buffer nodes, shared switches and IOMMU translation
-// no longer force a serial build (jitter draws a per-island stream;
-// coupled islands replay through a hub; a global-scope IOMMU binds to
-// the hub while per-socket units ride their socket's island).
+// TestParallelFallbacks pins the partitioning policy edges: every shape
+// that forms one island — a single endpoint, a global-scope IOMMU, a
+// shared buffer node, a shared switch — builds serially, while jitter
+// and per-socket IOMMU units leave a split fabric partitioned (jitter
+// draws a per-island stream; per-socket units ride their socket's
+// island).
 func TestParallelFallbacks(t *testing.T) {
 	sys, err := sysconf.ByName("NFP6000-BDW")
 	if err != nil {
@@ -271,12 +315,16 @@ func TestParallelFallbacks(t *testing.T) {
 		return fab
 	}
 	shape := topo.Shape{Endpoints: 4, Placement: "split", LocalBuffers: true}
+	// serial reports whether fab is the one-kernel build of all four
+	// endpoints.
+	serial := func(fab *topo.Fabric) bool {
+		return !fab.Parallel() && len(fab.Coupled) == 0 &&
+			reflect.DeepEqual(fab.Islands, [][]int{{0, 1, 2, 3}})
+	}
 	// A global-scope IOMMU sits on every DMA path: everyone couples into
-	// one island, which still parallelizes through the hub.
-	if fab := build(sysconf.Options{SimWorkers: 4, NoJitter: true, IOMMU: true, BufferSize: 1 << 20}, shape); !fab.Parallel() || len(fab.Coupled) != 1 {
-		t.Error("global-scope IOMMU fabric did not build one coupled island")
-	} else if got := len(fab.Coupled[0].Endpoints); got != 4 {
-		t.Errorf("global-scope IOMMU coupled group holds %d endpoints, want 4", got)
+	// one island, which builds serially.
+	if fab := build(sysconf.Options{SimWorkers: 4, NoJitter: true, IOMMU: true, BufferSize: 1 << 20}, shape); !serial(fab) {
+		t.Errorf("global-scope IOMMU fabric: islands %v, want one serial island", fab.Islands)
 	}
 	// Per-socket units add no coupling of their own: the split shape
 	// partitions along sockets exactly as it does without an IOMMU.
@@ -293,16 +341,14 @@ func TestParallelFallbacks(t *testing.T) {
 	if fab := build(sysconf.Options{SimWorkers: 4, NoJitter: true}, topo.Shape{}); fab.Parallel() {
 		t.Error("single-endpoint fabric partitioned")
 	}
-	// Shared buffer node couples everything into one island — which the
-	// linked build still parallelizes, replaying through a hub.
+	// A shared buffer node couples everything into one island.
 	noLocal := topo.Shape{Endpoints: 4, Placement: "split"}
-	if fab := build(sysconf.Options{SimWorkers: 4, NoJitter: true, BufferSize: 1 << 20}, noLocal); !fab.Parallel() || len(fab.Coupled) != 1 {
-		t.Error("shared-buffer-node fabric did not build one coupled island")
+	if fab := build(sysconf.Options{SimWorkers: 4, NoJitter: true, BufferSize: 1 << 20}, noLocal); !serial(fab) {
+		t.Errorf("shared-buffer-node fabric: islands %v, want one serial island", fab.Islands)
 	}
-	// A switch funnels everyone through one uplink: one island, one hub.
-	sw := shapeLink()
-	swShape := topo.Shape{Endpoints: 4, Switch: sw, LocalBuffers: true}
-	if fab := build(sysconf.Options{SimWorkers: 4, NoJitter: true, BufferSize: 1 << 20}, swShape); !fab.Parallel() || len(fab.Coupled) != 1 {
-		t.Error("switched fabric did not build one coupled island")
+	// A switch funnels everyone through one uplink: one island.
+	swShape := topo.Shape{Endpoints: 4, Switch: shapeLink(), LocalBuffers: true}
+	if fab := build(sysconf.Options{SimWorkers: 4, NoJitter: true, BufferSize: 1 << 20}, swShape); !serial(fab) {
+		t.Errorf("switched fabric: islands %v, want one serial island", fab.Islands)
 	}
 }
