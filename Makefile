@@ -4,12 +4,15 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover fmt fmt-check vet bench bench-smoke bench-compare alloc-gate serve-smoke chaos-smoke clean
+.PHONY: all build test test-short race cover fmt fmt-check vet bench bench-smoke bench-compare alloc-gate repro-check serve-smoke chaos-smoke clean
 
 all: build test
 
+# The root module, then the nested perfbench module (which `./...`
+# skips) so an exported-API change that breaks it fails here.
 build:
 	$(GO) build ./...
+	$(GO) -C perfbench build -o /dev/null .
 
 # Full test suite (figure/table shape checks included, ~1 min on one core).
 test:
@@ -92,6 +95,21 @@ alloc-gate:
 	echo "$$out"; \
 	echo "$$out" | awk '/allocs\/op/ { n++; if ($$(NF-1) != 0) { print "FAIL: " $$1 " reports " $$(NF-1) " allocs/op"; bad = 1 } } \
 		END { if (n == 0) { print "FAIL: no benchmark ran"; bad = 1 } exit bad }'
+
+# Byte identity of pcie-repro's quick-quality output: regenerates every
+# figure and table TSV into a temporary directory and diffs it against
+# the committed goldens. What CI's "Repro byte identity" step runs. After
+# an intended output change, regenerate the goldens with
+#   go run ./cmd/pcie-repro -out cmd/pcie-repro/testdata/quick
+# and review the diff. (A make target rather than a Go test, so the race
+# job does not rerun the whole report under the race detector.)
+repro-check:
+	@dir="$$(mktemp -d)"; \
+	$(GO) run ./cmd/pcie-repro -out "$$dir" > /dev/null || { rm -rf "$$dir"; exit 1; }; \
+	diff -r cmd/pcie-repro/testdata/quick "$$dir"; status=$$?; \
+	rm -rf "$$dir"; \
+	if [ $$status -eq 0 ]; then echo "repro TSVs byte-identical to cmd/pcie-repro/testdata/quick"; fi; \
+	exit $$status
 
 # End-to-end smoke of the sweep service (cmd/pcie-served): boots the
 # server, drives the v1 HTTP API, checks served-vs-CLI byte identity

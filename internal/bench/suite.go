@@ -107,26 +107,6 @@ type SuiteResult struct {
 	Err     error
 }
 
-// RunSuite executes the matrix sequentially against one shared target,
-// cell by cell in Cells order. Invalid combinations (window smaller
-// than a unit, window larger than the buffer) are reported as skipped
-// rather than failing the suite. progress, when non-nil, receives
-// (done, total) after every run.
-//
-// For a multi-worker run use RunSuiteParallel, which builds an
-// independent target per cell.
-func RunSuite(t *Target, cfg SuiteConfig, progress func(done, total int)) ([]SuiteResult, error) {
-	cells := cfg.Cells()
-	results := make([]SuiteResult, len(cells))
-	for i, c := range cells {
-		results[i] = runOne(t, c.Bench, c.Params)
-		if progress != nil {
-			progress(i+1, len(cells))
-		}
-	}
-	return results, nil
-}
-
 // TargetFactory builds an independent benchmark target for one suite
 // cell. The seed drives all simulation randomness of that target; the
 // factory must not hand the same simulator instance to two cells, since
@@ -149,14 +129,10 @@ type SuiteOptions struct {
 // builds its own target from factory with a seed derived from the base
 // seed and the cell index, so results are byte-identical for every
 // worker count. The result slice is in Cells order. Per-cell benchmark
-// failures are reported in the cell's SuiteResult; a factory error or
+// failures are reported in the cell's SuiteResult, and invalid
+// combinations (window smaller than a unit, window larger than the
+// buffer) as skipped rather than failing the suite; a factory error or
 // context cancellation aborts the run.
-//
-// Because every cell starts from a fresh, independently seeded
-// simulator instead of inheriting the RNG state a shared target
-// accumulates, individual cell values differ slightly from a RunSuite
-// pass over the same matrix (including at Workers: 1) — the two
-// entry points are each self-consistent, not interchangeable.
 func RunSuiteParallel(ctx context.Context, factory TargetFactory, cfg SuiteConfig, opt SuiteOptions) ([]SuiteResult, error) {
 	base := opt.Seed
 	if base == 0 {

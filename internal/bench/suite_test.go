@@ -18,6 +18,12 @@ func TestDefaultSuiteShape(t *testing.T) {
 	}
 }
 
+// sharedTarget is a factory that hands every cell the same target; it
+// is only safe at Workers: 1, where cells run one after another.
+func sharedTarget(tgt *Target) TargetFactory {
+	return func(int64) (*Target, error) { return tgt, nil }
+}
+
 func TestRunSuiteSmall(t *testing.T) {
 	tgt := buildTarget(t, netfpga.Config(), 43)
 	cfg := SuiteConfig{
@@ -29,11 +35,14 @@ func TestRunSuiteSmall(t *testing.T) {
 		Transactions: 200,
 	}
 	var calls int
-	results, err := RunSuite(tgt, cfg, func(done, total int) {
-		calls++
-		if total != cfg.Count() {
-			t.Errorf("total = %d, want %d", total, cfg.Count())
-		}
+	results, err := RunSuiteParallel(context.Background(), sharedTarget(tgt), cfg, SuiteOptions{
+		Workers: 1,
+		Progress: func(done, total int) {
+			calls++
+			if total != cfg.Count() {
+				t.Errorf("total = %d, want %d", total, cfg.Count())
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +80,7 @@ func TestRunSuiteSkipsInvalid(t *testing.T) {
 		Patterns:     []Pattern{Random},
 		Transactions: 10,
 	}
-	results, err := RunSuite(tgt, cfg, nil)
+	results, err := RunSuiteParallel(context.Background(), sharedTarget(tgt), cfg, SuiteOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +98,7 @@ func TestRunSuiteUnknownBench(t *testing.T) {
 		CacheStates: []CacheState{Cold},
 		Patterns:    []Pattern{Random},
 	}
-	results, err := RunSuite(tgt, cfg, nil)
+	results, err := RunSuiteParallel(context.Background(), sharedTarget(tgt), cfg, SuiteOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +126,10 @@ func TestSuiteCellsOrderStable(t *testing.T) {
 	if len(cells) != cfg.Count() {
 		t.Fatalf("cells = %d, want %d", len(cells), cfg.Count())
 	}
-	// Regression: RunSuite's result order is exactly the Cells order
+	// Regression: the suite's result order is exactly the Cells order
 	// (benchmark-major enumeration), and indices are positional.
 	tgt := buildTarget(t, netfpga.Config(), 61)
-	results, err := RunSuite(tgt, cfg, nil)
+	results, err := RunSuiteParallel(context.Background(), sharedTarget(tgt), cfg, SuiteOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +223,7 @@ func TestRenderSuite(t *testing.T) {
 		Patterns:     []Pattern{Random},
 		Transactions: 100,
 	}
-	results, err := RunSuite(tgt, cfg, nil)
+	results, err := RunSuiteParallel(context.Background(), sharedTarget(tgt), cfg, SuiteOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

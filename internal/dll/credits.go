@@ -1,3 +1,17 @@
+// Package dll holds the PCI Express Data Link Layer's flow-control
+// credit ledgers.
+//
+// Flow control is credit accounting per type (Posted, Non-Posted,
+// Completion) in header and data credit units, advertised and restored
+// through UpdateFC DLLPs. TxCredits is the transmitter's view of the
+// receiver's buffer and RxCredits the receiver's own ledger; each
+// credit-limited flow-control window of the switch model in internal/rc
+// is a pair of them.
+//
+// The rest of the layer is modeled in time, not in packets:
+// internal/pcie folds the sequence number and LCRC into each TLP's wire
+// overhead, and internal/rc models the Nak round trip and replay of a
+// corrupted TLP, charging WireBytes for the Nak DLLP.
 package dll
 
 import (
@@ -29,6 +43,10 @@ func (c CreditType) String() string {
 	}
 	return fmt.Sprintf("CreditType(%d)", int(c))
 }
+
+// WireBytes is the size of every DLLP on the wire: 2 B framing + 4 B
+// payload + 2 B CRC-16.
+const WireBytes = 8
 
 // DataCreditBytes is the size of one data credit: 4 DW.
 const DataCreditBytes = 16

@@ -339,51 +339,30 @@ func (p *Port) sendDown(at sim.Time, wire, payload int, pool dll.CreditType) sim
 	return arrive
 }
 
-// boundedChunks calls fn(offset, n) for consecutive chunks of
-// [addr, addr+sz) that do not cross bound-aligned address boundaries.
-// This is the same arithmetic as tlp.SplitRead/SplitWrite; the
-// equivalence is asserted by tests. DMARead/DMAWrite inline the same
-// loop rather than take a callback so their steady state stays free of
-// closure allocations; the tests pin the two forms to each other.
-func boundedChunks(addr uint64, sz, bound int, fn func(off, n int)) {
-	pos := addr
-	remaining := sz
-	off := 0
-	for remaining > 0 {
-		n := remaining
-		if boundary := (pos/uint64(bound) + 1) * uint64(bound); pos+uint64(n) > boundary {
-			n = int(boundary - pos)
-		}
-		fn(off, n)
-		pos += uint64(n)
-		remaining -= n
-		off += n
+// reqChunk returns the size of the request TLP starting at bus address
+// pos with rem bytes left: at most bound bytes, never crossing a
+// bound-aligned address (the MRRS rule for reads, MPS for writes; the
+// arithmetic of tlp.SplitRead/SplitWrite, pinned to them by tests).
+func reqChunk(pos uint64, rem int, bound uint64) int {
+	if boundary := (pos/bound + 1) * bound; pos+uint64(rem) > boundary {
+		return int(boundary - pos)
 	}
+	return rem
 }
 
-// cplChunks calls fn(offset, n) for the completion payloads of a read of
-// [addr, addr+sz): a short first chunk up to the RCB boundary when addr
-// is unaligned, then MPS-sized chunks (same arithmetic as
-// tlp.SplitCompletion).
-func cplChunks(addr uint64, sz, mps, rcb int, fn func(off, n int)) {
-	pos := addr
-	remaining := sz
-	off := 0
-	for remaining > 0 {
-		var n int
-		if mis := int(pos % uint64(rcb)); mis != 0 {
-			n = rcb - mis
-		} else {
-			n = mps
-		}
-		if n > remaining {
-			n = remaining
-		}
-		fn(off, n)
-		pos += uint64(n)
-		remaining -= n
-		off += n
+// cplChunk returns the payload of the completion starting at pos with
+// rem bytes left: a short chunk up to the next RCB boundary when pos is
+// unaligned, else up to mps bytes (the arithmetic of
+// tlp.SplitCompletion, pinned to it by tests).
+func cplChunk(pos uint64, rem, mps int, rcb uint64) int {
+	c := mps
+	if mis := int(pos % rcb); mis != 0 {
+		c = int(rcb) - mis
 	}
+	if c > rem {
+		c = rem
+	}
+	return c
 }
 
 // ReadResult is the timeline of a DMA read.
@@ -423,14 +402,11 @@ func (p *Port) DMAReadOrdered(at sim.Time, dma uint64, sz int, orderAfter sim.Ti
 
 	res := ReadResult{}
 	p.stats.ReadOps++
-	// MRRS-bounded request chunks (boundedChunks, in loop form).
+	// MRRS-bounded request chunks.
 	pos := dma
 	remaining := sz
 	for remaining > 0 {
-		n := remaining
-		if boundary := (pos/mrrs + 1) * mrrs; pos+uint64(n) > boundary {
-			n = int(boundary - pos)
-		}
+		n := reqChunk(pos, remaining, mrrs)
 		// Request serializes on the device->host direction.
 		txDone, arrive := p.sendUp(at, p.reqTime, p.reqHdr, 0, dll.NonPosted)
 		p.stats.UpTLPs++
@@ -454,18 +430,11 @@ func (p *Port) DMAReadOrdered(at sim.Time, dma uint64, sz int, orderAfter sim.Ti
 		memLat := p.r.ms.AccessFrom(false, p.sock.node, home, pa, n)
 		dataAt := p.r.crossSock(ready+memLat, p.sock, home, n)
 		// Completions serialize on the host->device direction: a short
-		// first chunk up to the RCB boundary, then MPS-sized chunks
-		// (cplChunks, in loop form).
+		// first chunk up to the RCB boundary, then MPS-sized chunks.
 		cpos := pa
 		crem := n
 		for crem > 0 {
-			c := mps
-			if mis := int(cpos % rcb); mis != 0 {
-				c = int(rcb) - mis
-			}
-			if c > crem {
-				c = crem
-			}
+			c := cplChunk(cpos, crem, mps, rcb)
 			wire := p.cplHdr + c
 			arriveDev := p.sendDown(dataAt, wire, c, dll.Completion)
 			p.stats.DownTLPs++
@@ -514,14 +483,11 @@ func (p *Port) DMAWrite(at sim.Time, dma uint64, sz int) (WriteResult, error) {
 
 	res := WriteResult{}
 	p.stats.WriteOps++
-	// MPS-bounded write chunks (boundedChunks, in loop form).
+	// MPS-bounded write chunks.
 	pos := dma
 	remaining := sz
 	for remaining > 0 {
-		n := remaining
-		if boundary := (pos/mps + 1) * mps; pos+uint64(n) > boundary {
-			n = int(boundary - pos)
-		}
+		n := reqChunk(pos, remaining, mps)
 		wire := p.wrHdr + n
 		txDone, arrive := p.sendUp(at, p.bytesTime(wire), wire, n, dll.Posted)
 		p.stats.UpTLPs++
@@ -643,10 +609,7 @@ func (p *Port) peerWrite(at sim.Time, tp *Port, dma uint64, sz int) (WriteResult
 	pos := dma
 	remaining := sz
 	for remaining > 0 {
-		n := remaining
-		if boundary := (pos/mps + 1) * mps; pos+uint64(n) > boundary {
-			n = int(boundary - pos)
-		}
+		n := reqChunk(pos, remaining, mps)
 		wire := p.wrHdr + n
 		txDone := p.up.ScheduleAt(at, p.bytesTime(wire))
 		p.stats.UpTLPs++
@@ -683,10 +646,7 @@ func (p *Port) peerRead(at sim.Time, tp *Port, dma uint64, sz int, orderAfter si
 	pos := dma
 	remaining := sz
 	for remaining > 0 {
-		n := remaining
-		if boundary := (pos/mrrs + 1) * mrrs; pos+uint64(n) > boundary {
-			n = int(boundary - pos)
-		}
+		n := reqChunk(pos, remaining, mrrs)
 		txDone := p.up.ScheduleAt(at, p.reqTime)
 		p.stats.UpTLPs++
 		p.stats.UpBytes += uint64(p.reqHdr)
@@ -700,13 +660,7 @@ func (p *Port) peerRead(at sim.Time, tp *Port, dma uint64, sz int, orderAfter si
 		cpos := pos
 		crem := n
 		for crem > 0 {
-			c := mps
-			if mis := int(cpos % rcb); mis != 0 {
-				c = int(rcb) - mis
-			}
-			if c > crem {
-				c = crem
-			}
+			c := cplChunk(cpos, crem, mps, rcb)
 			wire := tp.cplHdr + c
 			cplTx := tp.up.ScheduleAt(ready, tp.bytesTime(wire))
 			tp.stats.UpTLPs++

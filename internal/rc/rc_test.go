@@ -270,44 +270,80 @@ func TestPipeCapsTransactionRate(t *testing.T) {
 }
 
 // Property: rc's chunk arithmetic matches the protocol-tier splitters.
+// walkChunks drives a chunk-size function over [addr, addr+sz) the way
+// the port loops do and returns the chunk sizes.
+func walkChunks(addr uint64, sz int, next func(pos uint64, rem int) int) []int {
+	var out []int
+	for pos, rem := addr, sz; rem > 0; {
+		n := next(pos, rem)
+		out = append(out, n)
+		pos += uint64(n)
+		rem -= n
+	}
+	return out
+}
+
+// TestChunkingMatchesTLPPackage pins the chunk arithmetic the port
+// loops run to the reference splitters in tlp, at byte granularity:
+// MRRS-bounded read requests (reqChunk) against SplitRead, each
+// request's completions (cplChunk) against SplitCompletion, and
+// MPS-bounded writes (reqChunk) against SplitWrite.
 func TestChunkingMatchesTLPPackage(t *testing.T) {
 	f := func(a uint32, s uint16, sel uint8) bool {
-		addr := uint64(a%(1<<20)) &^ 0x3
-		sz := (int(s%4096) + 4) &^ 0x3
-		mrrs := 256 << (sel % 3) // 256..1024
-		mps := 128 << (sel % 3)  // 128..512
+		addr := uint64(a % (1 << 20))
+		sz := int(s%4096) + 1
+		mrrs := 256 << (sel % 3)    // 256..1024
+		mps := 128 << (sel / 3 % 3) // 128..512
+		rcb := 64 << (sel / 9 % 2)  // 64, 128
 
-		// Read requests.
-		var got []int
-		boundedChunks(addr, sz, mrrs, func(_, n int) { got = append(got, n) })
+		// Read requests, and the completions answering each one.
 		reqs, err := tlp.SplitRead(0, addr, sz, mrrs, true)
-		if err != nil || len(reqs) != len(got) {
-			return false
-		}
-		for i, r := range reqs {
-			if r.LengthDW*4 != got[i] {
-				return false
-			}
-		}
-
-		// Completions for a single aligned request of <= MRRS bytes.
-		csz := sz
-		if csz > mrrs {
-			csz = mrrs
-		}
-		var cgot []int
-		cplChunks(addr, csz, mps, 64, func(_, n int) { cgot = append(cgot, n) })
-		lenDW, fbe, lbe, err := tlp.BERange(addr, csz)
 		if err != nil {
 			return false
 		}
-		req := &tlp.MemRead{Addr: addr, LengthDW: lenDW, FirstBE: fbe, LastBE: lbe}
-		cpls, err := tlp.SplitCompletion(req, 0, nil, mps, 64)
-		if err != nil || len(cpls) != len(cgot) {
+		got := walkChunks(addr, sz, func(pos uint64, rem int) int {
+			return reqChunk(pos, rem, uint64(mrrs))
+		})
+		if len(got) != len(reqs) {
 			return false
 		}
-		for i, c := range cpls {
-			if len(c.Data) != cgot[i] {
+		pos := addr
+		for i := range reqs {
+			cpls, err := tlp.SplitCompletion(&reqs[i], 0, nil, mps, rcb)
+			if err != nil {
+				return false
+			}
+			cgot := walkChunks(pos, got[i], func(pos uint64, rem int) int {
+				return cplChunk(pos, rem, mps, uint64(rcb))
+			})
+			if len(cgot) != len(cpls) {
+				return false
+			}
+			for j, c := range cpls {
+				if len(c.Data) != cgot[j] {
+					return false
+				}
+			}
+			// The request's byte count is what its completions carry.
+			if cpls[0].ByteCount != got[i] {
+				return false
+			}
+			pos += uint64(got[i])
+		}
+
+		// Posted writes.
+		wrs, err := tlp.SplitWrite(0, addr, nil, sz, mps, true)
+		if err != nil {
+			return false
+		}
+		wgot := walkChunks(addr, sz, func(pos uint64, rem int) int {
+			return reqChunk(pos, rem, uint64(mps))
+		})
+		if len(wgot) != len(wrs) {
+			return false
+		}
+		for i, w := range wrs {
+			if len(w.Data) != wgot[i] {
 				return false
 			}
 		}

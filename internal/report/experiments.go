@@ -31,9 +31,9 @@ func init() {
 
 // runSpec executes a spec on the report worker pool.
 func runSpec(s *sweep.Spec, q Quality) (*sweep.Result, error) {
-	return s.Run(context.Background(), sweep.RunOptions{
-		Workers: Parallelism(), Quality: q,
-	})
+	e := &sweep.Engine{Workers: Parallelism(), Quality: q}
+	res, _, err := e.Run(context.Background(), s)
+	return res, err
 }
 
 // Fig1 computes the modeled bidirectional bandwidth of a Gen3 x8 link

@@ -1,20 +1,20 @@
-// Package runner schedules independent experiment units across a
-// bounded worker pool.
+// Package runner maps a function over independent items on a bounded
+// worker pool.
 //
 // The paper's evaluation is a large grid of independent points —
 // figures 1-9 and the tables sweep transfer size, window size, cache
 // state, DDIO, IOMMU and NUMA settings — and every point builds its own
-// simulator instance, so the grid parallelizes trivially. The runner
-// exploits that while keeping results reproducible: units are executed
-// in any order across workers, but results are collected by submission
-// index, so the assembled output is byte-identical regardless of the
-// worker count. Deterministic per-unit seeds (Seed) decouple a unit's
-// randomness from scheduling order.
+// simulator instance, so the grid parallelizes trivially. Map exploits
+// that while keeping results reproducible: items execute in any order
+// across workers, but outputs are collected by item index, so the
+// assembled output is byte-identical regardless of the worker count.
+// Deterministic per-item seeds (Seed) decouple an item's randomness from
+// scheduling order.
 //
-// A panicking unit does not take the pool down: the panic is captured
-// as a *PanicError in that unit's Result. Cancellation via the context
-// stops unstarted units promptly; already-running units finish their
-// current work.
+// A panicking item does not take the process down: the panic is
+// captured as a *PanicError and fails the run like any other error.
+// The first failure, or cancellation via the context, stops unstarted
+// items promptly; already-running items finish their current work.
 package runner
 
 import (
@@ -26,26 +26,8 @@ import (
 	"sync"
 )
 
-// Unit is one independent piece of work: typically a single experiment
-// point that builds its own simulator instance and measures it.
-type Unit struct {
-	// Name labels the unit in errors and progress reporting.
-	Name string
-	// Run performs the work. It must not share mutable state with other
-	// units; each unit builds or clones what it needs.
-	Run func(ctx context.Context) (any, error)
-}
-
-// Result is the outcome of one unit, tagged with its submission index.
-type Result struct {
-	Index int
-	Name  string
-	Value any
-	Err   error
-}
-
-// PanicError wraps a panic recovered inside a worker so one bad unit
-// cannot take down the whole run.
+// PanicError wraps a panic recovered inside a worker so one bad item
+// cannot take down the whole process.
 type PanicError struct {
 	Unit  string
 	Value any
@@ -57,12 +39,12 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: unit %q panicked: %v", e.Unit, e.Value)
 }
 
-// Options tunes a Run call.
+// Options tunes a Map call.
 type Options struct {
 	// Workers is the pool size; <= 0 selects GOMAXPROCS. The pool never
-	// exceeds the unit count.
+	// exceeds the item count.
 	Workers int
-	// Progress, when non-nil, receives (done, total) after every unit
+	// Progress, when non-nil, receives (done, total) after every item
 	// finishes. Calls are serialized and done is strictly increasing, so
 	// the callback needs no locking of its own.
 	Progress func(done, total int)
@@ -82,79 +64,17 @@ func (o Options) workers(n int) int {
 	return w
 }
 
-// Run executes units on the pool and returns one Result per unit, in
-// submission order. Unit-level failures are reported per Result; the
-// returned error is non-nil only when ctx was cancelled, in which case
-// unstarted units carry the context error in their Result.
-func Run(ctx context.Context, units []Unit, opt Options) ([]Result, error) {
-	results := make([]Result, len(units))
-	if len(units) == 0 {
-		return results, ctx.Err()
-	}
-
-	idx := make(chan int, len(units))
-	for i := range units {
-		idx <- i
-	}
-	close(idx)
-
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		done int
-	)
-	total := len(units)
-	finish := func() {
-		if opt.Progress == nil {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		done++
-		opt.Progress(done, total)
-	}
-
-	for w := opt.workers(len(units)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				u := units[i]
-				if err := ctx.Err(); err != nil {
-					// Skipped by cancellation: recorded, but not
-					// reported as progress — the unit never ran.
-					results[i] = Result{Index: i, Name: u.Name, Err: err}
-					continue
-				}
-				v, err := runUnit(ctx, u)
-				results[i] = Result{Index: i, Name: u.Name, Value: v, Err: err}
-				finish()
-			}
-		}()
-	}
-	wg.Wait()
-	return results, ctx.Err()
-}
-
-// runUnit executes one unit, converting a panic into a *PanicError.
-func runUnit(ctx context.Context, u Unit) (v any, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Unit: u.Name, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return u.Run(ctx)
-}
-
 // Map runs fn over items on the pool and returns the outputs in item
-// order. It fails fast: the first unit error or panic cancels the
-// remaining unstarted units. Among the errors recorded by units that
-// actually executed, the one most likely to explain the failure is
-// returned: the lowest-index error unrelated to context.Canceled,
-// else the lowest-index error that wraps it, else the bare sentinel —
-// so a genuine failure is never shadowed by units that merely echoed
-// the induced cancellation. On success the output slice is identical
-// for every worker count.
+// order. It fails fast: the first item error or panic cancels the
+// remaining unstarted items, which are neither run nor reported as
+// progress. Among the errors recorded by items that actually executed,
+// the one most likely to explain the failure is returned: the
+// lowest-index error unrelated to context.Canceled, else the
+// lowest-index error that wraps it, else the bare sentinel — so a
+// genuine failure is never shadowed by items that merely echoed the
+// induced cancellation. If ctx itself is cancelled, its error is
+// returned. On success the output slice is identical for every worker
+// count.
 func Map[T, R any](ctx context.Context, items []T, opt Options, fn func(ctx context.Context, index int, item T) (R, error)) ([]R, error) {
 	out := make([]R, len(items))
 	if len(items) == 0 {
@@ -163,38 +83,46 @@ func Map[T, R any](ctx context.Context, items []T, opt Options, fn func(ctx cont
 	mctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// errs[i] is written only by the unit that executed item i; units
+	idx := make(chan int, len(items))
+	for i := range items {
+		idx <- i
+	}
+	close(idx)
+
+	// errs[i] is written only by the worker that executed item i; items
 	// skipped by the fail-fast cancellation never touch it.
 	errs := make([]error, len(items))
-	units := make([]Unit, len(items))
-	for i := range items {
-		i, item := i, items[i]
-		name := fmt.Sprintf("unit-%d", i)
-		units[i] = Unit{
-			Name: name,
-			Run: func(ctx context.Context) (_ any, err error) {
-				defer func() {
-					if r := recover(); r != nil {
-						err = &PanicError{Unit: name, Value: r, Stack: debug.Stack()}
-					}
-					if err != nil {
-						errs[i] = err
-						cancel()
-					}
-				}()
-				v, err := fn(ctx, i, item)
-				if err != nil {
-					return nil, err
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		done int
+	)
+	for w := opt.workers(len(items)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				if mctx.Err() != nil {
+					continue
 				}
-				out[i] = v
-				return nil, nil
-			},
-		}
+				if err := call(mctx, fn, i, items[i], &out[i]); err != nil {
+					errs[i] = err
+					cancel()
+				}
+				if opt.Progress != nil {
+					mu.Lock()
+					done++
+					opt.Progress(done, len(items))
+					mu.Unlock()
+				}
+			}
+		}()
 	}
-	if _, err := Run(mctx, units, opt); err != nil && ctx.Err() != nil {
-		return out, ctx.Err()
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return out, err
 	}
-	// Return the error that explains the failure, not its echo: a unit
+	// Return the error that explains the failure, not its echo: an item
 	// that merely respected the induced cancellation records the bare
 	// context.Canceled sentinel, which must not shadow the genuine
 	// failure that triggered it at a higher index.
@@ -219,8 +147,23 @@ func Map[T, R any](ctx context.Context, items []T, opt Options, fn func(ctx cont
 	return out, firstAny
 }
 
-// Seed derives a deterministic, well-mixed per-unit seed from a base
-// seed and the unit's submission index (a splitmix64 round). Sequential
+// call runs fn on item i, storing its output in *dst on success and
+// converting a panic into a *PanicError.
+func call[T, R any](ctx context.Context, fn func(context.Context, int, T) (R, error), i int, item T, dst *R) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Unit: fmt.Sprintf("unit-%d", i), Value: r, Stack: debug.Stack()}
+		}
+	}()
+	v, err := fn(ctx, i, item)
+	if err == nil {
+		*dst = v
+	}
+	return err
+}
+
+// Seed derives a deterministic, well-mixed per-item seed from a base
+// seed and the item's index (a splitmix64 round). Sequential
 // base seeds or indices yield decorrelated streams, and the result is
 // never zero, so it can feed APIs where zero selects a default.
 func Seed(base int64, index int) int64 {

@@ -9,24 +9,27 @@ import (
 )
 
 func TestRunOrderedResults(t *testing.T) {
+	items := make([]int, 20)
+	for i := range items {
+		items[i] = i
+	}
 	for _, workers := range []int{1, 2, 8, 100} {
-		units := make([]Unit, 20)
-		for i := range units {
-			i := i
-			units[i] = Unit{Name: fmt.Sprintf("u%d", i), Run: func(context.Context) (any, error) {
-				return i * i, nil
-			}}
-		}
-		results, err := Run(context.Background(), units, Options{Workers: workers})
+		out, err := Map(context.Background(), items, Options{Workers: workers},
+			func(_ context.Context, i int, item int) (int, error) {
+				if i != item {
+					return 0, fmt.Errorf("item %d delivered at index %d", item, i)
+				}
+				return item * item, nil
+			})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(results) != len(units) {
-			t.Fatalf("workers=%d: %d results", workers, len(results))
+		if len(out) != len(items) {
+			t.Fatalf("workers=%d: %d outputs", workers, len(out))
 		}
-		for i, r := range results {
-			if r.Index != i || r.Name != fmt.Sprintf("u%d", i) || r.Value != i*i || r.Err != nil {
-				t.Fatalf("workers=%d: result %d = %+v", workers, i, r)
+		for i, v := range out {
+			if v != i*i {
+				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
 			}
 		}
 	}
@@ -61,63 +64,55 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRunPanicIsolation(t *testing.T) {
-	units := []Unit{
-		{Name: "ok1", Run: func(context.Context) (any, error) { return 1, nil }},
-		{Name: "boom", Run: func(context.Context) (any, error) { panic("kaput") }},
-		{Name: "ok2", Run: func(context.Context) (any, error) { return 2, nil }},
-	}
-	results, err := Run(context.Background(), units, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Err != nil || results[2].Err != nil {
-		t.Error("healthy units affected by a sibling panic")
-	}
+	// A panicking item surfaces as a *PanicError naming it; the process
+	// survives and the items before it keep their outputs.
+	out, err := Map(context.Background(), []int{1, 2, 3}, Options{Workers: 1},
+		func(_ context.Context, i int, item int) (int, error) {
+			if i == 1 {
+				panic("kaput")
+			}
+			return item, nil
+		})
 	var pe *PanicError
-	if !errors.As(results[1].Err, &pe) {
-		t.Fatalf("panic not captured: %v", results[1].Err)
+	if !errors.As(err, &pe) {
+		t.Fatalf("panic not captured: %v", err)
 	}
-	if pe.Unit != "boom" || pe.Value != "kaput" || len(pe.Stack) == 0 {
+	if pe.Unit != "unit-1" || pe.Value != "kaput" || len(pe.Stack) == 0 {
 		t.Errorf("panic error = %+v", pe)
+	}
+	if out[0] != 1 {
+		t.Errorf("out[0] = %d, want the healthy item's output 1", out[0])
 	}
 }
 
 func TestRunCancellationMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	units := make([]Unit, 50)
+	items := make([]int, 50)
 	var executed atomic.Int32
-	for i := range units {
-		i := i
-		units[i] = Unit{Name: fmt.Sprintf("u%d", i), Run: func(context.Context) (any, error) {
+	var progressed int
+	out, err := Map(ctx, items, Options{Workers: 1,
+		Progress: func(done, total int) { progressed = done }},
+		func(_ context.Context, i int, _ int) (int, error) {
 			if i == 3 {
-				cancel() // a unit pulls the plug mid-run
+				cancel() // an item pulls the plug mid-run
 			}
 			executed.Add(1)
-			return i, nil
-		}}
-	}
-	var progressed int
-	results, err := Run(ctx, units, Options{Workers: 1,
-		Progress: func(done, total int) { progressed = done }})
+			return i + 1, nil
+		})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if n := executed.Load(); n < 4 || n >= 50 {
-		t.Errorf("executed %d units, want a partial run", n)
+		t.Errorf("executed %d items, want a partial run", n)
 	}
-	// Units skipped by the cancellation must not be reported as done.
+	// Items skipped by the cancellation must not be reported as done.
 	if int32(progressed) != executed.Load() {
 		t.Errorf("progress reported %d done, but only %d executed", progressed, executed.Load())
 	}
-	var cancelled int
-	for _, r := range results {
-		if errors.Is(r.Err, context.Canceled) {
-			cancelled++
-		}
-	}
-	if cancelled == 0 {
-		t.Error("no unit carries the cancellation error")
+	if out[3] != 4 || out[len(out)-1] != 0 {
+		t.Errorf("out[3] = %d, out[last] = %d: want the executed item's output and a skipped item's zero value",
+			out[3], out[len(out)-1])
 	}
 }
 
@@ -196,30 +191,27 @@ func TestMapPrefersRealErrorOverInducedCancel(t *testing.T) {
 }
 
 func TestRunProgressAggregation(t *testing.T) {
-	units := make([]Unit, 30)
-	for i := range units {
-		units[i] = Unit{Run: func(context.Context) (any, error) { return nil, nil }}
-	}
+	items := make([]int, 30)
 	var calls int
 	last := 0
-	_, err := Run(context.Background(), units, Options{
+	_, err := Map(context.Background(), items, Options{
 		Workers: 4,
 		Progress: func(done, total int) {
 			calls++
-			if total != len(units) {
-				t.Errorf("total = %d, want %d", total, len(units))
+			if total != len(items) {
+				t.Errorf("total = %d, want %d", total, len(items))
 			}
 			if done != last+1 {
 				t.Errorf("done = %d after %d, not monotonic", done, last)
 			}
 			last = done
 		},
-	})
+	}, func(context.Context, int, int) (struct{}, error) { return struct{}{}, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != len(units) {
-		t.Errorf("progress calls = %d, want %d", calls, len(units))
+	if calls != len(items) {
+		t.Errorf("progress calls = %d, want %d", calls, len(items))
 	}
 }
 
@@ -244,9 +236,10 @@ func TestSeed(t *testing.T) {
 }
 
 func TestRunEmptyAndDefaults(t *testing.T) {
-	results, err := Run(context.Background(), nil, Options{})
-	if err != nil || len(results) != 0 {
-		t.Fatalf("empty run: %v %v", results, err)
+	empty, err := Map(context.Background(), nil, Options{},
+		func(context.Context, int, int) (int, error) { return 0, nil })
+	if err != nil || len(empty) != 0 {
+		t.Fatalf("empty run: %v %v", empty, err)
 	}
 	// Workers <= 0 falls back to GOMAXPROCS and still completes.
 	out, err := Map(context.Background(), []int{1, 2, 3}, Options{Workers: -1},

@@ -1,7 +1,7 @@
 // Package stats computes the summary statistics, distributions and
 // series the pcie-bench control programs report: average, median,
-// minimum, maximum and tail percentiles of latency samples, CDFs,
-// histograms, and time series (paper §5.4).
+// minimum, maximum and tail percentiles of latency samples, CDFs and
+// time series (paper §5.4).
 package stats
 
 import (
@@ -211,55 +211,6 @@ func (c *CDF) TSV() string {
 	return b.String()
 }
 
-// Histogram is a fixed-width-bin histogram.
-type Histogram struct {
-	Lo, Hi  float64 // bounds of the binned range
-	Width   float64
-	Counts  []int
-	Under   int // samples below Lo
-	Over    int // samples at or above Hi
-	Samples int
-}
-
-// NewHistogram builds a histogram of samples with the given number of
-// equal-width bins over [lo, hi).
-func NewHistogram(samples []Sample, lo, hi float64, bins int) (*Histogram, error) {
-	if len(samples) == 0 {
-		return nil, ErrNoSamples
-	}
-	if bins < 1 || hi <= lo {
-		return nil, fmt.Errorf("stats: bad histogram shape [%v,%v)/%d", lo, hi, bins)
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Width: (hi - lo) / float64(bins), Counts: make([]int, bins)}
-	for _, v := range samples {
-		h.Samples++
-		switch {
-		case v < lo:
-			h.Under++
-		case v >= hi:
-			h.Over++
-		default:
-			idx := int((v - lo) / h.Width)
-			if idx >= bins {
-				idx = bins - 1
-			}
-			h.Counts[idx]++
-		}
-	}
-	return h, nil
-}
-
-// Mode returns the midpoint of the fullest bin.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.Lo + (float64(best)+0.5)*h.Width
-}
-
 // Series is an (x, y) data series, e.g. bandwidth against transfer size,
 // rendered as TSV for plotting.
 type Series struct {
@@ -297,55 +248,3 @@ func (s *Series) YAt(want float64) float64 {
 	}
 	return s.Y[len(s.Y)-1]
 }
-
-// Welford is a streaming mean/variance accumulator for cases where
-// retaining every sample is wasteful (bandwidth runs with millions of
-// transactions).
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the observation count.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Min returns the smallest observation.
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation.
-func (w *Welford) Max() float64 { return w.max }
-
-// Variance returns the population variance.
-func (w *Welford) Variance() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }

@@ -164,43 +164,6 @@ func TestCDFMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{-1, 0, 5, 15, 25, 95, 100, 200}, 0, 100, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Under != 1 {
-		t.Errorf("Under = %d, want 1", h.Under)
-	}
-	if h.Over != 2 {
-		t.Errorf("Over = %d, want 2 (100 and 200)", h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 5
-		t.Errorf("bin 0 = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[1] != 1 || h.Counts[2] != 1 || h.Counts[9] != 1 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	if h.Samples != 8 {
-		t.Errorf("Samples = %d", h.Samples)
-	}
-	if got := h.Mode(); got != 5 {
-		t.Errorf("Mode = %v, want 5 (midpoint of bin 0)", got)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(nil, 0, 1, 1); err != ErrNoSamples {
-		t.Error("empty histogram")
-	}
-	if _, err := NewHistogram([]float64{1}, 0, 1, 0); err == nil {
-		t.Error("0 bins accepted")
-	}
-	if _, err := NewHistogram([]float64{1}, 5, 1, 4); err == nil {
-		t.Error("hi<lo accepted")
-	}
-}
-
 func TestSeries(t *testing.T) {
 	var s Series
 	s.Name = "bw"
@@ -225,37 +188,6 @@ func TestSeries(t *testing.T) {
 	}
 }
 
-func TestWelfordMatchesSummarize(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	samples := make([]float64, 1000)
-	var w Welford
-	for i := range samples {
-		samples[i] = rng.NormFloat64()*10 + 500
-		w.Add(samples[i])
-	}
-	s, _ := Summarize(samples)
-	if w.N() != s.N {
-		t.Errorf("N: %d vs %d", w.N(), s.N)
-	}
-	if math.Abs(w.Mean()-s.Mean) > 1e-9 {
-		t.Errorf("Mean: %v vs %v", w.Mean(), s.Mean)
-	}
-	if math.Abs(w.StdDev()-s.StdDev) > 1e-6 {
-		t.Errorf("StdDev: %v vs %v", w.StdDev(), s.StdDev)
-	}
-	if w.Min() != s.Min || w.Max() != s.Max {
-		t.Errorf("Min/Max: %v/%v vs %v/%v", w.Min(), w.Max(), s.Min, s.Max)
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if w.Variance() != 0 || w.N() != 0 {
-		t.Error("zero-value Welford not zero")
-	}
-}
-
-// Property: P95 >= Median >= Min for any sample set.
 func TestSummaryOrderingProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	f := func(n uint8) bool {

@@ -90,27 +90,21 @@ type probeJob struct {
 }
 
 // cellKey computes a cell's content address. The seed entering the key
-// is the fully resolved per-cell seed (cellSeed), so under per-cell
-// seeding two cells with identical parameters at different grid
-// positions key differently — as they must, since their results
-// differ — while under fixed seeding identical cells dedup across
-// positions and even across specs.
+// is the fully resolved per-cell seed (Spec.resolveSeed, the same
+// function the run uses), so under per-cell seeding two cells with
+// identical parameters at different grid positions key differently —
+// as they must, since their results differ — while under fixed seeding
+// identical cells dedup across positions and even across specs.
 func (e *Engine) cellKey(s *Spec, c Cell) (string, error) {
-	base := s.Seed
+	var seed int64
 	if v, ok := c.KV["seed"]; ok {
 		n, err := ParseSize(v)
 		if err != nil {
 			return "", err
 		}
-		base = int64(n)
+		seed = int64(n)
 	}
-	seed := base
-	if s.SeedMode != SeedFixed {
-		if base == 0 {
-			base = 1
-		}
-		seed = runner.Seed(base, c.Index)
-	}
+	seed = s.resolveSeed(seed, c.Index)
 	job := cellJob{
 		Build:    e.Build,
 		Quality:  e.Quality.String(),
@@ -249,14 +243,4 @@ func (st *streamState) flushLocked() {
 			st.engine.Progress(st.next, st.total)
 		}
 	}
-}
-
-// Run validates the spec, expands the grid and executes every cell on
-// the worker pool — the historical uncached entry point, now a thin
-// wrapper over the Engine. Cells are independent units, so results are
-// collected in enumeration order and identical at any worker count.
-func (s *Spec) Run(ctx context.Context, opt RunOptions) (*Result, error) {
-	e := &Engine{Workers: opt.Workers, SimWorkers: opt.SimWorkers, Quality: opt.Quality, Progress: opt.Progress}
-	res, _, err := e.Run(ctx, s)
-	return res, err
 }

@@ -229,6 +229,46 @@ func TestEngineSeedModesKeying(t *testing.T) {
 	}
 }
 
+// TestEngineSeedZeroKeysSpecSeed: a cell whose "seed" is 0 runs from the
+// spec's Seed, so its cache key must carry that seed too. Two specs that
+// differ only in Seed compute different results and must never share a
+// cache entry, under either seed mode.
+func TestEngineSeedZeroKeysSpecSeed(t *testing.T) {
+	for _, mode := range []string{SeedFixed, SeedPerCell} {
+		spec := func(seed int64) *Spec {
+			return &Spec{
+				Name: "seed-zero",
+				Axes: []Axis{StrAxis("seed", "0")},
+				Base: map[string]string{
+					"bench": "workload", "sizes": "imix", "arrival": "poisson:2M:burst=8",
+				},
+				Probes:   []Probe{{Label: "p99_ns", Metric: "p99"}},
+				SeedMode: mode,
+				Seed:     seed,
+			}
+		}
+		p99 := func(e *Engine, seed int64) float64 {
+			t.Helper()
+			res, _, err := e.Run(context.Background(), spec(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Cells[0].Values[0]
+		}
+		want5, want7 := p99(&Engine{}, 5), p99(&Engine{}, 7)
+		if want5 == want7 {
+			t.Fatalf("%s: spec seeds 5 and 7 both give p99 %v; the check needs results that differ", mode, want5)
+		}
+		e := &Engine{Cache: cache.NewMemory(), Build: "test"}
+		if got := p99(e, 5); got != want5 {
+			t.Errorf("%s: seed 5 through the cache: p99 %v, want %v", mode, got, want5)
+		}
+		if got := p99(e, 7); got != want7 {
+			t.Errorf("%s: seed 7 after seed 5 on one cache: p99 %v, want %v (served seed 5's entry)", mode, got, want7)
+		}
+	}
+}
+
 // TestEngineCorruptCacheEntry: a torn or stale blob must fall back to
 // recomputation, never to a decode error or a wrong result.
 func TestEngineCorruptCacheEntry(t *testing.T) {

@@ -19,7 +19,7 @@ func runBerGoodput(t *testing.T, simWorkers int, overrides ...string) (*Result, 
 	if err := spec.ApplyOverrides(append([]string{"n=150"}, overrides...)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := spec.Run(context.Background(), RunOptions{Workers: 2, SimWorkers: simWorkers})
+	res, _, err := (&Engine{Workers: 2, SimWorkers: simWorkers}).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func goldenRoundTrip(t *testing.T, specFile, goldenFile string, workers []int) {
 	// Execution and every emitter are byte-stable at any worker count.
 	outputs := map[string]string{}
 	for _, w := range workers {
-		res, err := spec.Run(context.Background(), RunOptions{Workers: w})
+		res, _, err := (&Engine{Workers: w}).Run(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestWorkloadParallelismByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := spec.Run(context.Background(), RunOptions{Workers: workers})
+		res, _, err := (&Engine{Workers: workers}).Run(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -132,23 +132,6 @@ type Result struct {
 	Cells []CellResult
 }
 
-// RunOptions tunes a Spec.Run call.
-type RunOptions struct {
-	// Workers is the runner pool size; <= 0 selects GOMAXPROCS. The
-	// result is byte-identical for every value.
-	Workers int
-	// SimWorkers is the per-cell island-parallel simulation budget
-	// for multi-endpoint workload fabrics; <= 1 (the default)
-	// simulates serially. Like Workers, results are byte-identical for
-	// every value.
-	SimWorkers int
-	// Quality resolves transaction counts left at zero.
-	Quality Quality
-	// Progress, when non-nil, receives (done, total) as cells become
-	// available in enumeration order; calls are serialized.
-	Progress func(done, total int)
-}
-
 // MaxSimWorkers bounds the per-simulation parallelism the run surfaces
 // (CLI flags, the service's ?simworkers=) accept; islands are capped
 // by the 64-endpoint shape limit, so more workers than that can never
@@ -173,18 +156,24 @@ func ValidateSimWorkers(n int) error {
 
 // cellSeed resolves the seed a cell builds its instances from.
 func (s *Spec) cellSeed(cfg *Config, index int) {
-	base := cfg.Opt.Seed
-	if base == 0 {
-		base = s.Seed
+	cfg.Opt.Seed = s.resolveSeed(cfg.Opt.Seed, index)
+}
+
+// resolveSeed turns a cell's seed value (its "seed" key, 0 when unset)
+// into the seed its run uses: 0 defers to the spec's Seed, and per-cell
+// seeding mixes in the cell index. The cache key and the run both
+// resolve through here, so the key covers exactly the seed that runs.
+func (s *Spec) resolveSeed(seed int64, index int) int64 {
+	if seed == 0 {
+		seed = s.Seed
 	}
 	if s.SeedMode == SeedFixed {
-		cfg.Opt.Seed = base
-		return
+		return seed
 	}
-	if base == 0 {
-		base = 1
+	if seed == 0 {
+		seed = 1
 	}
-	cfg.Opt.Seed = runner.Seed(base, index)
+	return runner.Seed(seed, index)
 }
 
 // runCell measures every probe of one cell.

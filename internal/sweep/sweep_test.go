@@ -295,7 +295,7 @@ func TestEmitters(t *testing.T) {
 	if _, err := EmitterFor("yaml"); err == nil {
 		t.Error("unknown format accepted")
 	}
-	res, err := testSpec().Run(context.Background(), RunOptions{Workers: 2})
+	res, _, err := (&Engine{Workers: 2}).Run(context.Background(), testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestContrastRun(t *testing.T) {
 		Contrast: &Contrast{Set: map[string]string{"iommu": "true"}},
 		SeedMode: SeedFixed,
 	}
-	res, err := s.Run(context.Background(), RunOptions{})
+	res, _, err := (&Engine{}).Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestSharedInstanceRun(t *testing.T) {
 			{Label: "second"},
 		},
 	}
-	res, err := s.Run(context.Background(), RunOptions{})
+	res, _, err := (&Engine{}).Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

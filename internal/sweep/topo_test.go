@@ -40,7 +40,7 @@ func TestTopoContendShape(t *testing.T) {
 	if err := spec.ApplyOverrides([]string{"n=250"}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := spec.Run(context.Background(), RunOptions{Workers: 2})
+	res, _, err := (&Engine{Workers: 2}).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package tlp
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // BERange computes the DW length and first/last byte-enable fields for a
 // request touching sz bytes starting at byte address addr. This is the
@@ -213,58 +210,3 @@ func firstOffset(firstBE uint8) int {
 	}
 	return 0
 }
-
-// ErrTagsExhausted is returned by TagPool.Alloc when every tag is in
-// flight.
-var ErrTagsExhausted = errors.New("tlp: all tags in flight")
-
-// TagPool allocates transaction tags for non-posted requests. PCIe
-// devices have a finite tag space (32 or 256 with extended tags); the
-// size of the pool bounds the number of outstanding DMA reads and is one
-// of the levers the paper identifies for hiding PCIe latency.
-type TagPool struct {
-	free []uint8
-	used map[uint8]bool
-}
-
-// NewTagPool returns a pool of n tags (1..256).
-func NewTagPool(n int) *TagPool {
-	if n < 1 {
-		n = 1
-	}
-	if n > 256 {
-		n = 256
-	}
-	p := &TagPool{used: make(map[uint8]bool, n)}
-	for i := n - 1; i >= 0; i-- {
-		p.free = append(p.free, uint8(i))
-	}
-	return p
-}
-
-// Alloc takes a free tag.
-func (p *TagPool) Alloc() (uint8, error) {
-	if len(p.free) == 0 {
-		return 0, ErrTagsExhausted
-	}
-	t := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	p.used[t] = true
-	return t, nil
-}
-
-// Free returns a tag to the pool. Freeing a tag that is not in flight is
-// a programming error and panics.
-func (p *TagPool) Free(t uint8) {
-	if !p.used[t] {
-		panic(fmt.Sprintf("tlp: double free of tag %d", t))
-	}
-	delete(p.used, t)
-	p.free = append(p.free, t)
-}
-
-// InFlight returns the number of allocated tags.
-func (p *TagPool) InFlight() int { return len(p.used) }
-
-// Available returns the number of free tags.
-func (p *TagPool) Available() int { return len(p.free) }

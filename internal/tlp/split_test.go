@@ -295,49 +295,3 @@ func TestSplitCompletionInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestTagPool(t *testing.T) {
-	p := NewTagPool(4)
-	if p.Available() != 4 || p.InFlight() != 0 {
-		t.Fatalf("fresh pool: avail=%d inflight=%d", p.Available(), p.InFlight())
-	}
-	seen := map[uint8]bool{}
-	for i := 0; i < 4; i++ {
-		tag, err := p.Alloc()
-		if err != nil {
-			t.Fatalf("alloc %d: %v", i, err)
-		}
-		if seen[tag] {
-			t.Fatalf("duplicate tag %d", tag)
-		}
-		seen[tag] = true
-	}
-	if _, err := p.Alloc(); err != ErrTagsExhausted {
-		t.Errorf("exhausted pool: %v, want ErrTagsExhausted", err)
-	}
-	p.Free(0)
-	if tag, err := p.Alloc(); err != nil || tag != 0 {
-		t.Errorf("realloc: tag=%d err=%v", tag, err)
-	}
-}
-
-func TestTagPoolDoubleFreePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("double free did not panic")
-		}
-	}()
-	p := NewTagPool(2)
-	tag, _ := p.Alloc()
-	p.Free(tag)
-	p.Free(tag)
-}
-
-func TestTagPoolClamps(t *testing.T) {
-	if p := NewTagPool(0); p.Available() != 1 {
-		t.Errorf("NewTagPool(0) size = %d, want 1", p.Available())
-	}
-	if p := NewTagPool(1000); p.Available() != 256 {
-		t.Errorf("NewTagPool(1000) size = %d, want 256", p.Available())
-	}
-}

@@ -1,12 +1,15 @@
-// Package tlp implements PCI Express Transaction Layer Packets.
+// Package tlp implements PCI Express Transaction Layer Packets: the
+// wire codec behind traced runs (pcie-trace) and the reference
+// splitters for DMA transfer sizing.
 //
 // The package provides spec-faithful binary encoding and decoding for the
 // TLP types that matter for DMA traffic — Memory Read requests (MRd),
-// Memory Writes (MWr) and Completions with and without data (CplD/Cpl) —
-// along with the sizing arithmetic the rest of pciebench builds on: how a
-// DMA read is split into requests bounded by MRRS, and how a completer
-// splits read data into completions bounded by MPS and aligned to the
-// Read Completion Boundary (RCB).
+// Memory Writes (MWr) and Completions with and without data (CplD/Cpl).
+// SplitRead, SplitWrite and SplitCompletion split a transfer the way the
+// spec does: requests bounded by MRRS (reads) or MPS (writes), and
+// completions bounded by MPS and aligned to the Read Completion Boundary
+// (RCB). The root complex runs the same arithmetic inline, and its tests
+// check it against these splitters.
 //
 // The API follows the layered-decoding style of packet libraries such as
 // gopacket: each packet type has an AppendTo serializer and a
