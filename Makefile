@@ -96,19 +96,24 @@ alloc-gate:
 	echo "$$out" | awk '/allocs\/op/ { n++; if ($$(NF-1) != 0) { print "FAIL: " $$1 " reports " $$(NF-1) " allocs/op"; bad = 1 } } \
 		END { if (n == 0) { print "FAIL: no benchmark ran"; bad = 1 } exit bad }'
 
-# Byte identity of pcie-repro's quick-quality output: regenerates every
-# figure and table TSV into a temporary directory and diffs it against
-# the committed goldens. What CI's "Repro byte identity" step runs. After
-# an intended output change, regenerate the goldens with
+# Byte identity of pcie-repro's quick-quality output and of the
+# pcie-bench -suite report: regenerates every figure and table TSV and
+# the 2160-cell suite TSV into a temporary directory and diffs them
+# against the committed goldens. What CI's "Repro byte identity" step
+# runs. After an intended output change, regenerate the goldens with
 #   go run ./cmd/pcie-repro -out cmd/pcie-repro/testdata/quick
+#   go run ./cmd/pcie-bench -suite > cmd/pcie-bench/testdata/suite.tsv
 # and review the diff. (A make target rather than a Go test, so the race
 # job does not rerun the whole report under the race detector.)
 repro-check:
 	@dir="$$(mktemp -d)"; \
-	$(GO) run ./cmd/pcie-repro -out "$$dir" > /dev/null || { rm -rf "$$dir"; exit 1; }; \
-	diff -r cmd/pcie-repro/testdata/quick "$$dir"; status=$$?; \
+	if $(GO) run ./cmd/pcie-repro -out "$$dir/quick" > /dev/null && \
+		$(GO) run ./cmd/pcie-bench -suite > "$$dir/suite.tsv" 2> "$$dir/suite.err"; then \
+		diff -r cmd/pcie-repro/testdata/quick "$$dir/quick" && \
+			diff cmd/pcie-bench/testdata/suite.tsv "$$dir/suite.tsv"; status=$$?; \
+	else cat "$$dir/suite.err" 2> /dev/null; status=1; fi; \
 	rm -rf "$$dir"; \
-	if [ $$status -eq 0 ]; then echo "repro TSVs byte-identical to cmd/pcie-repro/testdata/quick"; fi; \
+	if [ $$status -eq 0 ]; then echo "repro TSVs and suite report byte-identical to their goldens"; fi; \
 	exit $$status
 
 # End-to-end smoke of the sweep service (cmd/pcie-served): boots the

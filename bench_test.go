@@ -306,10 +306,8 @@ func BenchmarkAblation_IOMMUWalkers(b *testing.B) {
 	var w1, w6 float64
 	for i := 0; i < b.N; i++ {
 		run := func(walkers int) float64 {
-			cfg := iommu.DefaultConfig()
-			cfg.Walkers = walkers
 			inst := mustBuild(b, "NFP6000-BDW", sysconf.Options{
-				NoJitter: true, IOMMU: true, IOMMUConfig: &cfg,
+				NoJitter: true, IOMMU: true, IOMMUWalkers: walkers,
 			})
 			res, err := bench.BwRd(inst.Target(), bench.Params{
 				WindowSize: 16 << 20, TransferSize: 64,

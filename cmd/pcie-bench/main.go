@@ -196,39 +196,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *suite {
-		sys, err := sysconf.ByName(*system)
-		if err != nil {
-			return err
-		}
-		// Every suite cell builds its own instance from a seed derived
-		// from -seed and the cell index, so the matrix fans out across
-		// the worker pool with a report that is byte-identical for any
-		// -parallel value. (Per-cell seeding means suite numbers are
-		// not comparable with reports generated by the old shared-
-		// instance sequential runner, only with other parallel runs.)
-		factory := func(seed int64) (*bench.Target, error) {
-			inst, err := sys.Build(sysconf.Options{Seed: seed, IOMMU: *iommuOn, IOMMUScope: *iommuScope, SuperPages: *sp})
-			if err != nil {
-				return nil, err
-			}
-			return inst.Target(), nil
-		}
-		cfg := bench.DefaultSuite()
-		results, err := bench.RunSuiteParallel(context.Background(), factory, cfg, bench.SuiteOptions{
-			Workers: *parallel,
-			Seed:    *seed,
-			Progress: func(done, total int) {
-				if done%100 == 0 || done == total {
-					fmt.Fprintf(stderr, "\r%d/%d", done, total)
-				}
-			},
-		})
-		fmt.Fprintln(stderr)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, bench.RenderSuite(results))
-		return nil
+		return runSuite(context.Background(), suiteSpec(*system, *iommuOn, *iommuScope, *sp, *seed), *parallel, stdout, stderr)
 	}
 
 	sys, err := sysconf.ByName(*system)

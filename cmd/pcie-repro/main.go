@@ -72,10 +72,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := sweep.ValidateSimWorkers(*simPar); err != nil {
 		return err
 	}
-	faultOverrides, err := faultArgs(*ber, *cto, *retrain)
-	if err != nil {
-		return err
-	}
+	faultOverrides := faultArgs(*ber, *cto, *retrain)
 
 	q := report.Quick
 	if *full {
@@ -98,26 +95,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 // faultArgs turns the -ber/-cto/-retrain convenience flags into sweep
-// axis overrides, validating values eagerly so a typo fails before any
-// experiment runs.
-func faultArgs(ber, cto, retrain string) ([]string, error) {
+// axis overrides; spec validation parses them before any cell runs.
+func faultArgs(ber, cto, retrain string) []string {
 	var overrides []string
-	if ber != "" {
-		if _, err := sweep.ParseBER(ber); err != nil {
-			return nil, fmt.Errorf("-ber: %w", err)
+	for _, f := range []struct{ key, val string }{{"ber", ber}, {"cto", cto}, {"retrain", retrain}} {
+		if f.val != "" {
+			overrides = append(overrides, f.key+"="+f.val)
 		}
-		overrides = append(overrides, "ber="+ber)
 	}
-	for _, f := range []struct{ name, val string }{{"cto", cto}, {"retrain", retrain}} {
-		if f.val == "" {
-			continue
-		}
-		if _, err := sweep.ParseDuration(f.val); err != nil {
-			return nil, fmt.Errorf("-%s: %w", f.name, err)
-		}
-		overrides = append(overrides, f.name+"="+f.val)
-	}
-	return overrides, nil
+	return overrides
 }
 
 // reproduce regenerates the paper's figures and tables into dir.

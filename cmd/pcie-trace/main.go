@@ -17,7 +17,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 
 	"pciebench/internal/bench"
 	"pciebench/internal/sysconf"
@@ -97,10 +99,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	s := trace.Summarize(buf.Records)
 	fmt.Fprintf(stdout, "#\n# %d TLPs (%d up / %d down), %d up bytes, %d down bytes, span %v\n",
 		s.Records, s.UpTLPs, s.DownTLPs, s.UpBytes, s.DownBytes, s.Last-s.First)
-	for kind, count := range s.ByKind {
-		fmt.Fprintf(stdout, "#   %-4s x%d\n", kind, count)
+	for _, kind := range slices.Sorted(maps.Keys(s.ByKind)) {
+		fmt.Fprintf(stdout, "#   %-4s x%d\n", kind, s.ByKind[kind])
 	}
-	if s.ByKind != nil && buf.Dropped > 0 {
+	if buf.Dropped > 0 {
 		fmt.Fprintf(stdout, "# %d records dropped (limit %d)\n", buf.Dropped, *limit)
 	}
 

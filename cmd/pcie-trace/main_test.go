@@ -6,8 +6,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"pciebench/internal/tlp"
 )
 
 // runCLI invokes the command as the shell would and captures stdout.
@@ -77,6 +80,35 @@ func TestErrors(t *testing.T) {
 	for _, args := range cases {
 		if _, err := runCLI(t, args...); err == nil {
 			t.Errorf("args %v succeeded, want error", args)
+		}
+	}
+}
+
+// TestTraceKindSummaryOrdered: the per-kind summary lists TLP kinds in
+// tlp.Kind order on every run. Ranging over the counts map printed
+// them in a different order from run to run.
+func TestTraceKindSummaryOrdered(t *testing.T) {
+	kindOf := map[string]tlp.Kind{}
+	for k := tlp.KindInvalid; k <= tlp.KindCplD; k++ {
+		kindOf[k.String()] = k
+	}
+	for run := 0; run < 20; run++ {
+		out, err := runCLI(t, "-bench", "lat_wrrd", "-transfer", "300", "-n", "2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kinds []tlp.Kind
+		for _, line := range strings.Split(out, "\n") {
+			f := strings.Fields(strings.TrimPrefix(line, "#"))
+			if len(f) != 2 || !strings.HasPrefix(f[1], "x") {
+				continue
+			}
+			if k, ok := kindOf[f[0]]; ok {
+				kinds = append(kinds, k)
+			}
+		}
+		if len(kinds) != 3 || !slices.IsSorted(kinds) {
+			t.Fatalf("run %d: kind summary %v, want MRd, MWr, CplD in that order:\n%s", run, kinds, out)
 		}
 	}
 }

@@ -13,11 +13,11 @@ import (
 	"pciebench/internal/sim"
 )
 
-// newTestTarget assembles a Haswell-like host with the chosen device
+// buildTarget assembles a Haswell-like host with the chosen device
 // config (kept local to avoid an import cycle with sysconf; the
 // integration tests in internal/report exercise the sysconf builder).
-// It doubles as the TargetFactory for the parallel-suite tests.
-func newTestTarget(devCfg device.Config, seed int64) (*Target, error) {
+func buildTarget(t *testing.T, devCfg device.Config, seed int64) *Target {
+	t.Helper()
 	k := sim.New(seed)
 	ms, err := mem.NewSystem(mem.Config{
 		Nodes:         2,
@@ -27,7 +27,7 @@ func newTestTarget(devCfg device.Config, seed int64) (*Target, error) {
 		RemoteLatency: 100 * sim.Nanosecond,
 	})
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 	host := hostif.New(ms, nil)
 	complex, err := rc.New(k, rc.Config{
@@ -37,27 +37,17 @@ func newTestTarget(devCfg device.Config, seed int64) (*Target, error) {
 		WireDelay:   120 * sim.Nanosecond,
 	}, ms, nil, host)
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 	eng, err := device.New(k, complex, devCfg)
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 	buf, err := host.Alloc(32<<20, 0, hostif.Chunked4M, 0)
 	if err != nil {
-		return nil, err
-	}
-	return &Target{Host: host, Engine: eng, Buffer: buf}, nil
-}
-
-// buildTarget is the fatal-on-error convenience wrapper for tests.
-func buildTarget(t *testing.T, devCfg device.Config, seed int64) *Target {
-	t.Helper()
-	tgt, err := newTestTarget(devCfg, seed)
-	if err != nil {
 		t.Fatal(err)
 	}
-	return tgt
+	return &Target{Host: host, Engine: eng, Buffer: buf}
 }
 
 func TestParamsUnits(t *testing.T) {

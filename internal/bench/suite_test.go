@@ -1,135 +1,130 @@
-package bench
+package bench_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
-	"pciebench/internal/device/netfpga"
+	"pciebench/internal/bench"
+	"pciebench/internal/sweep"
 )
 
-func TestDefaultSuiteShape(t *testing.T) {
-	cfg := DefaultSuite()
-	// The paper's control program runs ~2500 individual tests; the
-	// default matrix is in that ballpark.
-	if n := cfg.Count(); n < 2000 || n > 4000 {
-		t.Errorf("suite size = %d, want ~2500", n)
-	}
-}
+// The §5.4 suite (pcie-bench -suite) runs this package's micro-benchmarks
+// as the cells of a sweep grid, bench × transfer × window × cache ×
+// pattern, on sweep.Engine. These tests run trimmed copies of that grid;
+// cmd/pcie-bench tests the full spec and its TSV report.
 
-// sharedTarget is a factory that hands every cell the same target; it
-// is only safe at Workers: 1, where cells run one after another.
-func sharedTarget(tgt *Target) TargetFactory {
-	return func(int64) (*Target, error) { return tgt, nil }
-}
-
-func TestRunSuiteSmall(t *testing.T) {
-	tgt := buildTarget(t, netfpga.Config(), 43)
-	cfg := SuiteConfig{
-		Benchmarks:   []string{"LAT_RD", "BW_RD", "BW_WR"},
-		Transfers:    []int{64, 512},
-		Windows:      []int{8 << 10, 1 << 20},
-		CacheStates:  []CacheState{HostWarm},
-		Patterns:     []Pattern{Random},
-		Transactions: 200,
-	}
-	var calls int
-	results, err := RunSuiteParallel(context.Background(), sharedTarget(tgt), cfg, SuiteOptions{
-		Workers: 1,
-		Progress: func(done, total int) {
-			calls++
-			if total != cfg.Count() {
-				t.Errorf("total = %d, want %d", total, cfg.Count())
-			}
+// suiteGrid is a suite-shaped spec over the given axis values with the
+// suite's base keys (direct on every cell) at n transactions.
+func suiteGrid(benches, transfers, windows, caches []string, n string) *sweep.Spec {
+	return &sweep.Spec{
+		Name: "suite",
+		Axes: []sweep.Axis{
+			sweep.StrAxis("bench", benches...),
+			sweep.StrAxis("transfer", transfers...),
+			sweep.StrAxis("window", windows...),
+			sweep.StrAxis("cache", caches...),
+			sweep.StrAxis("pattern", "rand"),
 		},
-	})
+		Base: map[string]string{"system": "NetFPGA-HSW", "n": n, "direct": "true"},
+		Seed: 7,
+	}
+}
+
+// parallelSuiteGrid is the 24-cell grid shared by the order tests: both
+// benchmark families, two transfers, two windows, two cache states.
+func parallelSuiteGrid() *sweep.Spec {
+	return suiteGrid([]string{"lat_rd", "bw_rd", "bw_wr"}, []string{"64", "512"},
+		[]string{"8192", "1048576"}, []string{"cold", "warm"}, "100")
+}
+
+// isLatency reports whether a suite cell runs a latency benchmark.
+func isLatency(c sweep.Cell) bool { return strings.HasPrefix(c.Get("bench"), "lat_") }
+
+// TestRunSuiteSmall: every cell of a small grid runs, latency cells
+// yield a median and bandwidth cells a rate, and progress reports each
+// cell against the grid's size.
+func TestRunSuiteSmall(t *testing.T) {
+	s := suiteGrid([]string{"lat_rd", "bw_rd", "bw_wr"}, []string{"64", "512"},
+		[]string{"8192", "1048576"}, []string{"warm"}, "200")
+	var calls int
+	e := &sweep.Engine{Workers: 1, Progress: func(done, total int) {
+		calls++
+		if total != s.Count() {
+			t.Errorf("total = %d, want %d", total, s.Count())
+		}
+	}}
+	res, _, err := e.Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != cfg.Count() {
-		t.Fatalf("results = %d, want %d", len(results), cfg.Count())
+	if len(res.Cells) != s.Count() {
+		t.Fatalf("results = %d, want %d", len(res.Cells), s.Count())
 	}
-	if calls != cfg.Count() {
+	if calls != s.Count() {
 		t.Errorf("progress calls = %d", calls)
 	}
-	for _, r := range results {
-		if r.Err != nil {
-			t.Errorf("%s %s: %v", r.Bench, r.Params, r.Err)
+	for _, r := range res.Cells {
+		m := r.Meas[0]
+		if isLatency(r.Cell) && m.Median <= 0 {
+			t.Errorf("%v: no latency", r.Cell.Coord)
 		}
-		switch {
-		case strings.HasPrefix(r.Bench, "LAT"):
-			if r.Summary.Median <= 0 {
-				t.Errorf("%s %s: no latency", r.Bench, r.Params)
-			}
-		default:
-			if r.Gbps <= 0 {
-				t.Errorf("%s %s: no bandwidth", r.Bench, r.Params)
-			}
+		if !isLatency(r.Cell) && m.Gbps <= 0 {
+			t.Errorf("%v: no bandwidth", r.Cell.Coord)
 		}
 	}
 }
 
+// TestRunSuiteSkipsInvalid: a window larger than the host buffer is
+// never run. The spec fails validation with the benchmark's own error
+// before any cell executes, so the suite fails rather than printing a
+// skipped row.
 func TestRunSuiteSkipsInvalid(t *testing.T) {
-	tgt := buildTarget(t, netfpga.Config(), 47) // 32MB buffer
-	cfg := SuiteConfig{
-		Benchmarks:   []string{"LAT_RD"},
-		Transfers:    []int{64},
-		Windows:      []int{64 << 20}, // larger than the buffer
-		CacheStates:  []CacheState{Cold},
-		Patterns:     []Pattern{Random},
-		Transactions: 10,
+	s := suiteGrid([]string{"lat_rd"}, []string{"64"}, []string{"8192", "67108864"}, []string{"cold"}, "10")
+	s.Base["buffer"] = "32M"
+	if err := s.Validate(); !errors.Is(err, bench.ErrBufferTooSmall) {
+		t.Fatalf("Validate = %v, want %v", err, bench.ErrBufferTooSmall)
 	}
-	results, err := RunSuiteParallel(context.Background(), sharedTarget(tgt), cfg, SuiteOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	var calls int
+	e := &sweep.Engine{Workers: 1, Progress: func(int, int) { calls++ }}
+	_, st, err := e.Run(context.Background(), s)
+	if !errors.Is(err, bench.ErrBufferTooSmall) {
+		t.Errorf("Run = %v, want %v", err, bench.ErrBufferTooSmall)
 	}
-	if len(results) != 1 || !results[0].Skipped {
-		t.Errorf("oversized window not skipped: %+v", results)
+	if st.Executed != 0 || calls != 0 {
+		t.Errorf("oversized window ran: executed %d, progress calls %d", st.Executed, calls)
 	}
 }
 
+// TestRunSuiteUnknownBench: an unknown benchmark name is rejected before
+// any cell executes.
 func TestRunSuiteUnknownBench(t *testing.T) {
-	tgt := buildTarget(t, netfpga.Config(), 53)
-	cfg := SuiteConfig{
-		Benchmarks:  []string{"NOPE"},
-		Transfers:   []int{64},
-		Windows:     []int{8 << 10},
-		CacheStates: []CacheState{Cold},
-		Patterns:    []Pattern{Random},
+	s := suiteGrid([]string{"lat_rd", "nope"}, []string{"64"}, []string{"8192"}, []string{"cold"}, "10")
+	var calls int
+	e := &sweep.Engine{Workers: 1, Progress: func(int, int) { calls++ }}
+	_, st, err := e.Run(context.Background(), s)
+	if err == nil || !strings.Contains(err.Error(), `unknown benchmark "nope"`) {
+		t.Errorf("unknown benchmark accepted: %v", err)
 	}
-	results, err := RunSuiteParallel(context.Background(), sharedTarget(tgt), cfg, SuiteOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Err == nil {
-		t.Error("unknown benchmark accepted")
+	if st.Executed != 0 || calls != 0 {
+		t.Errorf("cells ran: executed %d, progress calls %d", st.Executed, calls)
 	}
 }
 
-// parallelSuiteConfig is a small matrix shared by the parallel-suite
-// tests: 24 cells across both benchmark families.
-func parallelSuiteConfig() SuiteConfig {
-	return SuiteConfig{
-		Benchmarks:   []string{"LAT_RD", "BW_RD", "BW_WR"},
-		Transfers:    []int{64, 512},
-		Windows:      []int{8 << 10, 1 << 20},
-		CacheStates:  []CacheState{Cold, HostWarm},
-		Patterns:     []Pattern{Random},
-		Transactions: 100,
-	}
-}
-
+// TestSuiteCellsOrderStable: results come back in Cells order
+// (benchmark-major enumeration, positional indices) under a parallel
+// pool, so cell i always runs from the seed of index i.
 func TestSuiteCellsOrderStable(t *testing.T) {
-	cfg := parallelSuiteConfig()
-	cells := cfg.Cells()
-	if len(cells) != cfg.Count() {
-		t.Fatalf("cells = %d, want %d", len(cells), cfg.Count())
+	s := parallelSuiteGrid()
+	cells := s.Cells()
+	if len(cells) != s.Count() {
+		t.Fatalf("cells = %d, want %d", len(cells), s.Count())
 	}
-	// Regression: the suite's result order is exactly the Cells order
-	// (benchmark-major enumeration), and indices are positional.
-	tgt := buildTarget(t, netfpga.Config(), 61)
-	results, err := RunSuiteParallel(context.Background(), sharedTarget(tgt), cfg, SuiteOptions{Workers: 1})
+	res, _, err := (&sweep.Engine{Workers: 4}).Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,100 +132,51 @@ func TestSuiteCellsOrderStable(t *testing.T) {
 		if c.Index != i {
 			t.Fatalf("cell %d has index %d", i, c.Index)
 		}
-		if results[i].Bench != c.Bench || results[i].Params != c.Params {
-			t.Fatalf("result %d = %s %s, want %s %s",
-				i, results[i].Bench, results[i].Params, c.Bench, c.Params)
+		if got := res.Cells[i].Cell; got.Index != i || !slices.Equal(got.Coord, c.Coord) {
+			t.Fatalf("result %d = cell %d %v, want %v", i, got.Index, got.Coord, c.Coord)
 		}
 	}
-	if cells[0].Bench != "LAT_RD" || cells[len(cells)-1].Bench != "BW_WR" {
+	if cells[0].Get("bench") != "lat_rd" || cells[len(cells)-1].Get("bench") != "bw_wr" {
 		t.Errorf("enumeration not benchmark-major: %s..%s",
-			cells[0].Bench, cells[len(cells)-1].Bench)
+			cells[0].Get("bench"), cells[len(cells)-1].Get("bench"))
 	}
 }
 
-func TestRunSuiteParallelDeterministic(t *testing.T) {
-	cfg := parallelSuiteConfig()
-	factory := func(seed int64) (*Target, error) {
-		return newTestTarget(netfpga.Config(), seed)
-	}
-	run := func(workers int) string {
-		results, err := RunSuiteParallel(context.Background(), factory, cfg,
-			SuiteOptions{Workers: workers, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return RenderSuite(results)
-	}
-	want := run(1)
-	for _, workers := range []int{4, 8} {
-		if got := run(workers); got != want {
-			t.Fatalf("workers=%d output differs from workers=1:\n%s\n--- vs ---\n%s",
-				workers, got, want)
-		}
-	}
-	for _, line := range strings.Split(strings.TrimSpace(want), "\n")[1:] {
-		if !strings.HasSuffix(line, "ok") {
-			t.Errorf("cell not ok: %s", line)
-		}
-	}
-}
-
-func TestRunSuiteParallelProgressAndErrors(t *testing.T) {
-	cfg := parallelSuiteConfig()
-	factory := func(seed int64) (*Target, error) {
-		return newTestTarget(netfpga.Config(), seed)
-	}
-	var calls int
-	last := 0
-	results, err := RunSuiteParallel(context.Background(), factory, cfg, SuiteOptions{
-		Workers: 4,
-		Progress: func(done, total int) {
-			calls++
-			if total != cfg.Count() || done != last+1 {
-				t.Errorf("progress (%d,%d) after %d", done, total, last)
-			}
-			last = done
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != cfg.Count() || len(results) != cfg.Count() {
-		t.Errorf("calls = %d, results = %d, want %d", calls, len(results), cfg.Count())
-	}
-
-	// A factory failure aborts the run with an error.
-	bad := func(int64) (*Target, error) { return nil, errors.New("no hardware") }
-	if _, err := RunSuiteParallel(context.Background(), bad, cfg, SuiteOptions{Workers: 2}); err == nil {
-		t.Error("factory error not surfaced")
-	}
-
-	// Cancellation aborts promptly.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RunSuiteParallel(ctx, factory, cfg, SuiteOptions{Workers: 2}); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled run returned %v", err)
-	}
-}
-
+// TestRenderSuite: a suite-shaped result renders one row per cell, the
+// cell's coordinates then one value column holding the latency
+// benchmark's median or the bandwidth benchmark's rate. Each measurement
+// leaves the other family's field zero, which the -suite report prints
+// in its median_ns and gbps columns.
 func TestRenderSuite(t *testing.T) {
-	tgt := buildTarget(t, netfpga.Config(), 59)
-	cfg := SuiteConfig{
-		Benchmarks:   []string{"LAT_RD", "BW_RD"},
-		Transfers:    []int{64},
-		Windows:      []int{8 << 10},
-		CacheStates:  []CacheState{HostWarm},
-		Patterns:     []Pattern{Random},
-		Transactions: 100,
-	}
-	results, err := RunSuiteParallel(context.Background(), sharedTarget(tgt), cfg, SuiteOptions{Workers: 1})
+	s := suiteGrid([]string{"lat_rd", "bw_rd"}, []string{"64"}, []string{"8192"}, []string{"warm"}, "100")
+	res, _, err := (&sweep.Engine{Workers: 1}).Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RenderSuite(results)
-	for _, want := range []string{"bench\twindow", "LAT_RD", "BW_RD", "ok"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
+	emit, err := sweep.EmitterFor("tsv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := emit(&out, res); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != 2+len(res.Cells) {
+		t.Fatalf("%d lines, want a title, a header and %d rows:\n%s", len(lines), len(res.Cells), out.String())
+	}
+	if lines[1] != "bench\ttransfer\twindow\tcache\tpattern\tvalue" {
+		t.Errorf("header = %q", lines[1])
+	}
+	for i, r := range res.Cells {
+		m := r.Meas[0]
+		value, other := m.Gbps, m.Median
+		if isLatency(r.Cell) {
+			value, other = m.Median, m.Gbps
+		}
+		want := strings.Join(append(slices.Clone(r.Cell.Coord), strconv.FormatFloat(value, 'f', 3, 64)), "\t")
+		if lines[2+i] != want || value <= 0 || other != 0 {
+			t.Errorf("row %d = %q (median %v, gbps %v), want %q", i, lines[2+i], m.Median, m.Gbps, want)
 		}
 	}
 }

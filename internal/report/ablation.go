@@ -3,19 +3,20 @@ package report
 import (
 	"fmt"
 
-	"pciebench/internal/bench"
-	"pciebench/internal/device"
-	"pciebench/internal/iommu"
 	"pciebench/internal/model"
 	"pciebench/internal/pcie"
 	"pciebench/internal/stats"
-	"pciebench/internal/sysconf"
+	"pciebench/internal/sweep"
 )
 
 // Ablation experiments: the design choices DESIGN.md calls out, each
 // varied in isolation to show which mechanism carries which paper
 // result. They extend the paper's evaluation rather than reproduce a
 // specific figure.
+//
+// The simulated ablations are sweep specs run by the sweep engine, like
+// the paper figures, but they are not registered: each is a pcie-repro
+// figure, not a grid of the sweep registry.
 
 // AblationMPS sweeps the negotiated Maximum Payload Size through the
 // analytical model: the saw-tooth period and the achievable large-
@@ -40,6 +41,32 @@ func AblationMPS() *Figure {
 	return fig
 }
 
+// ablationSpec is the shape the simulated ablations share: warm-cache
+// BW_RD with jitter off from one fixed seed, on the given system and
+// buffer setup, across the given axes.
+func ablationSpec(name, seed string, base map[string]string, axes ...sweep.Axis) *sweep.Spec {
+	kv := map[string]string{"bench": "bw_rd", "cache": "warm", "nojitter": "true", "seed": seed}
+	for k, v := range base {
+		kv[k] = v
+	}
+	return &sweep.Spec{Name: name, Axes: axes, Base: kv, SeedMode: sweep.SeedFixed}
+}
+
+// ablationFigure runs a one-axis ablation into fig as a single series
+// over the axis.
+func ablationFigure(s *sweep.Spec, q Quality, fig *Figure, series string) (*Figure, error) {
+	res, err := runSpec(s, q)
+	if err != nil {
+		return nil, err
+	}
+	ser := &stats.Series{Name: series}
+	for _, c := range res.Cells {
+		ser.Append(float64(c.Cell.Int(s.Axes[0].Name)), c.Values[0])
+	}
+	fig.Series = []*stats.Series{ser}
+	return fig, nil
+}
+
 // AblationGen4 projects the paper's baseline read bandwidth onto a
 // PCIe Gen4 x8 link — the configuration §6 anticipates ("including the
 // next generation PCIe Gen 4 once hardware is available"). Both the
@@ -47,48 +74,20 @@ func AblationMPS() *Figure {
 // signalling rate the small-transfer region becomes latency-bound
 // rather than link-bound, which is the projection's takeaway.
 func AblationGen4(q Quality) (*Figure, error) {
+	gens := []pcie.Generation{pcie.Gen3, pcie.Gen4}
+	sizes := []int{64, 128, 256, 512, 1024, 2048}
+	res, err := runSpec(ablationSpec("ablation-gen4", "61",
+		map[string]string{"system": "NFP6000-HSW", "buffer": "1M", "window": "8K"},
+		sweep.IntAxis("gen", int(pcie.Gen3), int(pcie.Gen4)),
+		sweep.IntAxis("transfer", sizes...)), q)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID:     "ablation-gen4",
 		Title:  "BW_RD projected onto PCIe Gen4 x8 (NFP6000-HSW host)",
 		XLabel: "Transfer Size (Bytes)",
 		YLabel: "Bandwidth (Gb/s)",
-	}
-	gens := []pcie.Generation{pcie.Gen3, pcie.Gen4}
-	sizes := []int{64, 128, 256, 512, 1024, 2048}
-	type cell struct {
-		gen pcie.Generation
-		sz  int
-	}
-	var cells []cell
-	for _, gen := range gens {
-		for _, sz := range sizes {
-			cells = append(cells, cell{gen, sz})
-		}
-	}
-	vals, err := runUnits(cells, func(c cell) (float64, error) {
-		link := pcie.DefaultGen3x8()
-		link.Gen = c.gen
-		sys, err := sysconf.ByName("NFP6000-HSW")
-		if err != nil {
-			return 0, err
-		}
-		inst, err := sys.Build(sysconf.Options{
-			BufferSize: 1 << 20, NoJitter: true, Link: &link, Seed: 61,
-		})
-		if err != nil {
-			return 0, err
-		}
-		res, err := bench.BwRd(inst.Target(), bench.Params{
-			WindowSize: 8 << 10, TransferSize: c.sz,
-			Cache: bench.HostWarm, Transactions: q.BwN(),
-		})
-		if err != nil {
-			return 0, err
-		}
-		return res.Gbps, nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	measOf := make(map[pcie.Generation]*stats.Series)
 	for _, gen := range gens {
@@ -101,8 +100,8 @@ func AblationGen4(q Quality) (*Figure, error) {
 		measOf[gen] = &stats.Series{Name: fmt.Sprintf("BW_RD (%s)", gen)}
 		fig.Series = append(fig.Series, mdl, measOf[gen])
 	}
-	for i, c := range cells {
-		measOf[c.gen].Append(float64(c.sz), vals[i])
+	for _, c := range res.Cells {
+		measOf[pcie.Generation(c.Cell.Int("gen"))].Append(float64(c.Cell.Int("transfer")), c.Values[0])
 	}
 	return fig, nil
 }
@@ -113,44 +112,15 @@ func AblationGen4(q Quality) (*Figure, error) {
 // scales nearly linearly with the pool until the in-flight limit takes
 // over.
 func AblationWalkers(q Quality) (*Figure, error) {
-	fig := &Figure{
+	s := ablationSpec("ablation-walkers", "67",
+		map[string]string{"system": "NFP6000-BDW", "iommu": "true", "window": "16M", "transfer": "64"},
+		sweep.IntAxis("walkers", 1, 2, 4, 6, 8, 12))
+	return ablationFigure(s, q, &Figure{
 		ID:     "ablation-walkers",
 		Title:  "64B BW_RD beyond the IO-TLB reach vs page-walker pool size",
 		XLabel: "Walkers",
 		YLabel: "Bandwidth (Gb/s)",
-	}
-	pool := []int{1, 2, 4, 6, 8, 12}
-	vals, err := runUnits(pool, func(walkers int) (float64, error) {
-		cfg := iommu.DefaultConfig()
-		cfg.Walkers = walkers
-		sys, err := sysconf.ByName("NFP6000-BDW")
-		if err != nil {
-			return 0, err
-		}
-		inst, err := sys.Build(sysconf.Options{
-			NoJitter: true, IOMMU: true, IOMMUConfig: &cfg, Seed: 67,
-		})
-		if err != nil {
-			return 0, err
-		}
-		res, err := bench.BwRd(inst.Target(), bench.Params{
-			WindowSize: 16 << 20, TransferSize: 64,
-			Cache: bench.HostWarm, Transactions: q.BwN(),
-		})
-		if err != nil {
-			return 0, err
-		}
-		return res.Gbps, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	s := &stats.Series{Name: "64B BW_RD @16MB window"}
-	for i, walkers := range pool {
-		s.Append(float64(walkers), vals[i])
-	}
-	fig.Series = []*stats.Series{s}
-	return fig, nil
+	}, "64B BW_RD @16MB window")
 }
 
 // AblationInFlight sweeps the device's in-flight DMA limit for 64B
@@ -159,52 +129,13 @@ func AblationWalkers(q Quality) (*Figure, error) {
 // grows linearly with the window until the link serialization takes
 // over.
 func AblationInFlight(q Quality) (*Figure, error) {
-	fig := &Figure{
+	s := ablationSpec("ablation-inflight", "71",
+		map[string]string{"system": "NFP6000-HSW", "buffer": "1M", "window": "8K", "transfer": "64"},
+		sweep.IntAxis("dmainflight", 1, 2, 4, 8, 16, 32, 64, 128))
+	return ablationFigure(s, q, &Figure{
 		ID:     "ablation-inflight",
 		Title:  "64B BW_RD vs device in-flight DMA limit (NFP6000-HSW)",
 		XLabel: "In-flight DMAs",
 		YLabel: "Bandwidth (Gb/s)",
-	}
-	limits := []int{1, 2, 4, 8, 16, 32, 64, 128}
-	vals, err := runUnits(limits, func(inflight int) (float64, error) {
-		sys, err := sysconf.ByName("NFP6000-HSW")
-		if err != nil {
-			return 0, err
-		}
-		inst, err := sys.Build(sysconf.Options{BufferSize: 1 << 20, NoJitter: true, Seed: 71})
-		if err != nil {
-			return 0, err
-		}
-		// Rebuild the engine with the modified limit.
-		devCfg := inst.Engine.Config()
-		devCfg.MaxInFlight = inflight
-		eng, err := rebuiltEngine(inst, devCfg)
-		if err != nil {
-			return 0, err
-		}
-		tgt := &bench.Target{Host: inst.Host, Engine: eng, Buffer: inst.Buffer}
-		res, err := bench.BwRd(tgt, bench.Params{
-			WindowSize: 8 << 10, TransferSize: 64,
-			Cache: bench.HostWarm, Transactions: q.BwN(),
-		})
-		if err != nil {
-			return 0, err
-		}
-		return res.Gbps, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	s := &stats.Series{Name: "64B BW_RD"}
-	for i, inflight := range limits {
-		s.Append(float64(inflight), vals[i])
-	}
-	fig.Series = []*stats.Series{s}
-	return fig, nil
-}
-
-// rebuiltEngine swaps the instance's DMA engine for one with modified
-// parameters, preserving the kernel and root complex.
-func rebuiltEngine(inst *sysconf.Instance, cfg device.Config) (*device.Engine, error) {
-	return device.New(inst.Kernel, inst.RC, cfg)
+	}, "64B BW_RD")
 }

@@ -10,13 +10,11 @@
 package report
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
 
-	"pciebench/internal/runner"
 	"pciebench/internal/stats"
 	"pciebench/internal/sweep"
 )
@@ -42,16 +40,6 @@ func Parallelism() int {
 		return int(n)
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// runUnits evaluates fn over items on the report worker pool, returning
-// the outputs in item order. Each call is one parameter sweep: items
-// are the sweep points, fn builds whatever simulator state the point
-// needs and measures it.
-func runUnits[T, R any](items []T, fn func(T) (R, error)) ([]R, error) {
-	return runner.Map(context.Background(), items,
-		runner.Options{Workers: Parallelism()},
-		func(_ context.Context, _ int, item T) (R, error) { return fn(item) })
 }
 
 // Quality scales experiment sizes; the Quick/Full knob and its

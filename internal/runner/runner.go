@@ -9,7 +9,8 @@
 // across workers, but outputs are collected by item index, so the
 // assembled output is byte-identical regardless of the worker count.
 // Deterministic per-item seeds (Seed) decouple an item's randomness from
-// scheduling order.
+// scheduling order. Map reports no progress: its one grid caller,
+// sweep.Engine, reports its own, in enumeration order.
 //
 // A panicking item does not take the process down: the panic is
 // captured as a *PanicError and fails the run like any other error.
@@ -39,43 +40,18 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: unit %q panicked: %v", e.Unit, e.Value)
 }
 
-// Options tunes a Map call.
-type Options struct {
-	// Workers is the pool size; <= 0 selects GOMAXPROCS. The pool never
-	// exceeds the item count.
-	Workers int
-	// Progress, when non-nil, receives (done, total) after every item
-	// finishes. Calls are serialized and done is strictly increasing, so
-	// the callback needs no locking of its own.
-	Progress func(done, total int)
-}
-
-func (o Options) workers(n int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// Map runs fn over items on the pool and returns the outputs in item
-// order. It fails fast: the first item error or panic cancels the
-// remaining unstarted items, which are neither run nor reported as
-// progress. Among the errors recorded by items that actually executed,
-// the one most likely to explain the failure is returned: the
-// lowest-index error unrelated to context.Canceled, else the
-// lowest-index error that wraps it, else the bare sentinel — so a
+// Map runs fn over items on a pool of at most workers goroutines (<= 0
+// selects GOMAXPROCS) and returns the outputs in item order. It fails
+// fast: the first item error or panic cancels the remaining unstarted
+// items, which never run. Among the errors recorded by items that
+// actually executed, the one most likely to explain the failure is
+// returned: the lowest-index error unrelated to context.Canceled, else
+// the lowest-index error that wraps it, else the bare sentinel — so a
 // genuine failure is never shadowed by items that merely echoed the
 // induced cancellation. If ctx itself is cancelled, its error is
 // returned. On success the output slice is identical for every worker
 // count.
-func Map[T, R any](ctx context.Context, items []T, opt Options, fn func(ctx context.Context, index int, item T) (R, error)) ([]R, error) {
+func Map[T, R any](ctx context.Context, items []T, workers int, fn func(ctx context.Context, index int, item T) (R, error)) ([]R, error) {
 	out := make([]R, len(items))
 	if len(items) == 0 {
 		return out, ctx.Err()
@@ -92,12 +68,11 @@ func Map[T, R any](ctx context.Context, items []T, opt Options, fn func(ctx cont
 	// errs[i] is written only by the worker that executed item i; items
 	// skipped by the fail-fast cancellation never touch it.
 	errs := make([]error, len(items))
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		done int
-	)
-	for w := opt.workers(len(items)); w > 0; w-- {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var wg sync.WaitGroup
+	for w := min(workers, len(items)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -108,12 +83,6 @@ func Map[T, R any](ctx context.Context, items []T, opt Options, fn func(ctx cont
 				if err := call(mctx, fn, i, items[i], &out[i]); err != nil {
 					errs[i] = err
 					cancel()
-				}
-				if opt.Progress != nil {
-					mu.Lock()
-					done++
-					opt.Progress(done, len(items))
-					mu.Unlock()
 				}
 			}
 		}()

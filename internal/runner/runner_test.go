@@ -14,7 +14,7 @@ func TestRunOrderedResults(t *testing.T) {
 		items[i] = i
 	}
 	for _, workers := range []int{1, 2, 8, 100} {
-		out, err := Map(context.Background(), items, Options{Workers: workers},
+		out, err := Map(context.Background(), items, workers,
 			func(_ context.Context, i int, item int) (int, error) {
 				if i != item {
 					return 0, fmt.Errorf("item %d delivered at index %d", item, i)
@@ -43,7 +43,7 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 	// Each unit derives its value from a per-unit seed only, never from
 	// execution order; every worker count must assemble the same slice.
 	run := func(workers int) []int64 {
-		out, err := Map(context.Background(), items, Options{Workers: workers},
+		out, err := Map(context.Background(), items, workers,
 			func(_ context.Context, i int, item int) (int64, error) {
 				return Seed(42, i) ^ int64(item), nil
 			})
@@ -66,7 +66,7 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestRunPanicIsolation(t *testing.T) {
 	// A panicking item surfaces as a *PanicError naming it; the process
 	// survives and the items before it keep their outputs.
-	out, err := Map(context.Background(), []int{1, 2, 3}, Options{Workers: 1},
+	out, err := Map(context.Background(), []int{1, 2, 3}, 1,
 		func(_ context.Context, i int, item int) (int, error) {
 			if i == 1 {
 				panic("kaput")
@@ -90,9 +90,7 @@ func TestRunCancellationMidRun(t *testing.T) {
 	defer cancel()
 	items := make([]int, 50)
 	var executed atomic.Int32
-	var progressed int
-	out, err := Map(ctx, items, Options{Workers: 1,
-		Progress: func(done, total int) { progressed = done }},
+	out, err := Map(ctx, items, 1,
 		func(_ context.Context, i int, _ int) (int, error) {
 			if i == 3 {
 				cancel() // an item pulls the plug mid-run
@@ -106,10 +104,6 @@ func TestRunCancellationMidRun(t *testing.T) {
 	if n := executed.Load(); n < 4 || n >= 50 {
 		t.Errorf("executed %d items, want a partial run", n)
 	}
-	// Items skipped by the cancellation must not be reported as done.
-	if int32(progressed) != executed.Load() {
-		t.Errorf("progress reported %d done, but only %d executed", progressed, executed.Load())
-	}
 	if out[3] != 4 || out[len(out)-1] != 0 {
 		t.Errorf("out[3] = %d, out[last] = %d: want the executed item's output and a skipped item's zero value",
 			out[3], out[len(out)-1])
@@ -120,7 +114,7 @@ func TestMapFailFast(t *testing.T) {
 	boom := errors.New("boom")
 	items := make([]int, 32)
 	var executed atomic.Int32
-	_, err := Map(context.Background(), items, Options{Workers: 2},
+	_, err := Map(context.Background(), items, 2,
 		func(_ context.Context, i int, _ int) (int, error) {
 			executed.Add(1)
 			if i == 5 {
@@ -136,7 +130,7 @@ func TestMapFailFast(t *testing.T) {
 func TestMapFailFastOnPanic(t *testing.T) {
 	items := make([]int, 40)
 	var executed atomic.Int32
-	_, err := Map(context.Background(), items, Options{Workers: 1},
+	_, err := Map(context.Background(), items, 1,
 		func(_ context.Context, i int, _ int) (int, error) {
 			executed.Add(1)
 			if i == 2 {
@@ -160,7 +154,7 @@ func TestMapSurfacesErrorWrappingCanceled(t *testing.T) {
 	// mistaken for the induced fail-fast cancellation.
 	items := make([]int, 8)
 	wrapped := fmt.Errorf("backend gave up: %w", context.Canceled)
-	_, err := Map(context.Background(), items, Options{Workers: 2},
+	_, err := Map(context.Background(), items, 2,
 		func(_ context.Context, i int, _ int) (int, error) {
 			if i == 4 {
 				return 0, wrapped
@@ -177,7 +171,7 @@ func TestMapPrefersRealErrorOverInducedCancel(t *testing.T) {
 	// unit 1 is the genuine failure that triggered it. Map must return
 	// the real error even though the echo sits at a lower index.
 	boom := errors.New("boom")
-	_, err := Map(context.Background(), []int{0, 1}, Options{Workers: 2},
+	_, err := Map(context.Background(), []int{0, 1}, 2,
 		func(ctx context.Context, i int, _ int) (int, error) {
 			if i == 0 {
 				<-ctx.Done()
@@ -187,31 +181,6 @@ func TestMapPrefersRealErrorOverInducedCancel(t *testing.T) {
 		})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the real error", err)
-	}
-}
-
-func TestRunProgressAggregation(t *testing.T) {
-	items := make([]int, 30)
-	var calls int
-	last := 0
-	_, err := Map(context.Background(), items, Options{
-		Workers: 4,
-		Progress: func(done, total int) {
-			calls++
-			if total != len(items) {
-				t.Errorf("total = %d, want %d", total, len(items))
-			}
-			if done != last+1 {
-				t.Errorf("done = %d after %d, not monotonic", done, last)
-			}
-			last = done
-		},
-	}, func(context.Context, int, int) (struct{}, error) { return struct{}{}, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != len(items) {
-		t.Errorf("progress calls = %d, want %d", calls, len(items))
 	}
 }
 
@@ -236,13 +205,13 @@ func TestSeed(t *testing.T) {
 }
 
 func TestRunEmptyAndDefaults(t *testing.T) {
-	empty, err := Map(context.Background(), nil, Options{},
+	empty, err := Map(context.Background(), nil, 0,
 		func(context.Context, int, int) (int, error) { return 0, nil })
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty run: %v %v", empty, err)
 	}
 	// Workers <= 0 falls back to GOMAXPROCS and still completes.
-	out, err := Map(context.Background(), []int{1, 2, 3}, Options{Workers: -1},
+	out, err := Map(context.Background(), []int{1, 2, 3}, -1,
 		func(_ context.Context, _ int, v int) (int, error) { return v * 10, nil })
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,9 @@
 // server that accepts sweep Spec documents on a versioned API, dedups
 // cells against a content-addressed result cache, shards execution of
 // the misses over the worker pool, and streams results incrementally.
+// A submission is validated whole before it is queued — keys, values,
+// overrides and every cell's resolved configuration — so a spec that
+// could only fail once its cells run is answered 400, not 202.
 //
 // Sweeps are pure functions of (spec, seed, build version), which is
 // what makes the serving shape work: resubmitting a spec with one axis
@@ -23,8 +26,9 @@
 //	                                 cache key), set=key=v1,v2
 //	                                 (repeatable axis/base overrides),
 //	                                 and ber= / cto= / retrain=
-//	                                 (validated fault-injection sugar
-//	                                 for the matching set= override).
+//	                                 (fault-injection sugar for the
+//	                                 matching set= override, validated
+//	                                 with the spec).
 //	                                 Returns 202 with the job id.
 //	GET    /v1/sweeps/{id}           job status and cache accounting.
 //	GET    /v1/sweeps/{id}/results   the emitted grid; ?format= selects
@@ -226,28 +230,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	overrides = append(overrides, q["set"]...)
 	// ?ber=, ?cto= and ?retrain= are sugar for set=<key>=...: fault
-	// injection is a first-class what-if axis, so each knob gets a
-	// dedicated query parameter with the same validation surface.
-	if ber := q.Get("ber"); ber != "" {
-		if _, err := sweep.ParseBER(ber); err != nil {
-			apiError(w, http.StatusBadRequest, "%v", err)
-			return
+	// injection is a first-class what-if axis. Validate parses the
+	// values like any other override and answers 400.
+	for _, key := range []string{"ber", "cto", "retrain"} {
+		if v := q.Get(key); v != "" {
+			overrides = append(overrides, key+"="+v)
 		}
-		overrides = append(overrides, "ber="+ber)
-	}
-	if cto := q.Get("cto"); cto != "" {
-		if _, err := sweep.ParseDuration(cto); err != nil {
-			apiError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		overrides = append(overrides, "cto="+cto)
-	}
-	if retrain := q.Get("retrain"); retrain != "" {
-		if _, err := sweep.ParseDuration(retrain); err != nil {
-			apiError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		overrides = append(overrides, "retrain="+retrain)
 	}
 	if err := spec.ApplyOverrides(overrides); err != nil {
 		apiError(w, http.StatusBadRequest, "%v", err)

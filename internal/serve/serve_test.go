@@ -400,6 +400,11 @@ func TestErrorResponses(t *testing.T) {
 	if code, body := post(strings.Replace(testSpec, `"version": 1`, `"version": 9`, 1), ""); code != http.StatusBadRequest || !strings.Contains(body, "version 9") {
 		t.Errorf("future version: %d %s", code, body)
 	}
+	// A micro-benchmark cell whose window exceeds the host buffer is
+	// rejected at submission, before any cell executes.
+	if code, body := post(`{"name":"bad","axes":[{"name":"window","values":["8K","128M"]}],"base":{"bench":"bw_rd","n":"200","transfer":"64"}}`, ""); code != http.StatusBadRequest || !strings.Contains(body, "larger than the host buffer") {
+		t.Errorf("oversized window: %d %s (want 400)", code, body)
+	}
 	if code, body := post(`{"run": "no-such-sweep"}`, ""); code != http.StatusNotFound {
 		t.Errorf("unknown registered sweep: %d %s", code, body)
 	}

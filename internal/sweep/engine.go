@@ -11,8 +11,8 @@ import (
 )
 
 // Engine is the single execution entry point every run path shares —
-// the CLIs (pcie-repro, pcie-bench -run/-spec) and the serving layer
-// (internal/serve) all drive sweeps through it. A run is
+// the CLIs (pcie-repro, pcie-bench -run/-spec/-suite) and the serving
+// layer (internal/serve) all drive sweeps through it. A run is
 // expand -> dedup-against-cache -> execute -> emit:
 //
 //   - the grid expands to cells in deterministic enumeration order;
@@ -186,7 +186,7 @@ func (e *Engine) Run(ctx context.Context, s *Spec) (*Result, Stats, error) {
 	stats.Executed = len(misses)
 	st.flush() // publish the leading run of cache hits immediately
 
-	_, err := runner.Map(ctx, misses, runner.Options{Workers: e.Workers},
+	_, err := runner.Map(ctx, misses, e.Workers,
 		func(_ context.Context, _ int, m miss) (struct{}, error) {
 			res, err := s.runCell(m.cell, e.Quality, e.SimWorkers)
 			if err != nil {

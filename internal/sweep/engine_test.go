@@ -183,6 +183,45 @@ func TestEngineOnCellOrder(t *testing.T) {
 	}
 }
 
+// TestEngineProgress: with part of the grid already cached, Progress
+// reports every done count from 1 to Count() exactly once and in
+// order, with total equal to Count(), at any worker count. The cached
+// cells sit between executed ones, so hits and misses interleave.
+func TestEngineProgress(t *testing.T) {
+	spec := engineSpec()
+	spec.SeedMode = SeedFixed // keys ignore grid position
+	cold := spec.Clone()
+	cold.Axes[1] = StrAxis("cache", "cold")
+	for _, workers := range []int{1, 4} {
+		store := cache.NewMemory()
+		if _, _, err := (&Engine{Workers: workers, Cache: store}).Run(context.Background(), cold); err != nil {
+			t.Fatal(err)
+		}
+		var done []int
+		e := &Engine{Workers: workers, Cache: store, Progress: func(d, total int) {
+			if total != spec.Count() {
+				t.Errorf("workers=%d: total = %d, want %d", workers, total, spec.Count())
+			}
+			done = append(done, d)
+		}}
+		_, st, err := e.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Hits != cold.Count() || st.Executed != spec.Count()-cold.Count() {
+			t.Fatalf("workers=%d: stats %+v, want %d hits", workers, st, cold.Count())
+		}
+		if len(done) != spec.Count() {
+			t.Fatalf("workers=%d: progress %v, want 1..%d", workers, done, spec.Count())
+		}
+		for i, d := range done {
+			if d != i+1 {
+				t.Fatalf("workers=%d: progress %v, want 1..%d in order", workers, done, spec.Count())
+			}
+		}
+	}
+}
+
 // TestEngineSeedModesKeying: under fixed seeding a cell's address
 // ignores its grid position, under per-cell seeding it must not.
 func TestEngineSeedModesKeying(t *testing.T) {

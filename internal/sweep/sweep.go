@@ -21,10 +21,10 @@
 // the CLIs and the HTTP serving layer (internal/serve): documents
 // carry a "version" field (SpecVersion; legacy version-less documents
 // read as version 1), unknown fields are rejected with errors naming
-// the valid keys, and every run path — pcie-repro, pcie-bench
-// -run/-spec, pcie-served — executes through the same Engine, which
-// dedups cells against a content-addressed result cache
-// (internal/cache) keyed by canonical cell spec + seed + build
+// the valid keys, and every run path — pcie-repro and its ablations,
+// pcie-bench -run/-spec/-suite, pcie-served — executes through the
+// same Engine, which dedups cells against a content-addressed result
+// cache (internal/cache) keyed by canonical cell spec + seed + build
 // version.
 package sweep
 
@@ -308,6 +308,34 @@ func (c *Config) usesFabric() bool {
 	return c.Bench == BenchP2P || !c.Shape.Degenerate()
 }
 
+// resolveRunnable resolves kv like resolveConfig and also rejects a
+// micro-benchmark configuration that could only fail once its cell
+// runs: a missing or oversized window, a bad transfer or offset, a
+// negative count. The window is checked against the buffer the cell
+// will build; n=0 passes, since the run resolves it from the quality
+// level. Only validation calls it: a shared instance is built from the
+// bare cell, which need not name a transfer.
+func resolveRunnable(kv map[string]string) (Config, error) {
+	cfg, err := resolveConfig(kv)
+	if err != nil {
+		return cfg, err
+	}
+	switch cfg.Bench {
+	case BenchLatRd, BenchLatWrRd, BenchBwRd, BenchBwWr, BenchBwRdWr:
+	default:
+		return cfg, nil
+	}
+	p := cfg.Params
+	if p.Transactions == 0 {
+		p.Transactions = 1
+	}
+	buf := cfg.Opt.BufferSize
+	if buf == 0 {
+		buf = sysconf.DefaultBufferSize
+	}
+	return cfg, p.Validate(buf)
+}
+
 // ParseSize parses an integer with an optional K/M/G binary suffix
 // ("8K" -> 8192).
 func ParseSize(s string) (int, error) {
@@ -363,6 +391,16 @@ func ParseBER(s string) (float64, error) {
 	return b, nil
 }
 
+// parsePositive parses a count that must be at least 1 (endpoints,
+// walkers, dmainflight): zero would silently select a default.
+func parsePositive(s string) (int, error) {
+	n, err := ParseSize(s)
+	if err == nil && n < 1 {
+		err = fmt.Errorf("sweep: count %d must be at least 1", n)
+	}
+	return n, err
+}
+
 func parseBool(s string) (bool, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "true", "on", "1", "yes":
@@ -380,9 +418,9 @@ var (
 	// systemKeys configure the simulator instance (sysconf.Options and
 	// the link) and apply to every benchmark kind.
 	systemKeys = []string{
-		"bench", "ber", "buffer", "cto", "gen", "iommu", "iommuscope",
-		"lanes", "mps", "mrrs", "n", "node", "nojitter", "retrain",
-		"seed", "sp", "system", "warmup",
+		"bench", "ber", "buffer", "cto", "dmainflight", "gen", "iommu",
+		"iommuscope", "lanes", "mps", "mrrs", "n", "node", "nojitter",
+		"retrain", "seed", "sp", "system", "walkers", "warmup",
 	}
 	// microKeys are the pcie-bench micro-benchmark parameters
 	// (bench.Params) of the latency/bandwidth/loopback kinds.
@@ -464,7 +502,8 @@ func unknownKeyErr(benchKind string) error {
 // them: the shared instance is built once from the cell assignment.
 var optLevelKeys = map[string]bool{
 	"system": true, "seed": true, "buffer": true, "node": true,
-	"iommu": true, "iommuscope": true, "sp": true, "nojitter": true,
+	"iommu": true, "iommuscope": true, "walkers": true, "sp": true,
+	"nojitter": true, "dmainflight": true,
 	"gen": true, "lanes": true, "mps": true, "mrrs": true,
 	"endpoints": true, "switch": true, "socket": true, "p2p": true,
 	"buffers": true,
@@ -551,6 +590,10 @@ func resolveConfig(kv map[string]string) (Config, error) {
 			cfg.Opt.IOMMU, err = parseBool(v)
 		case "iommuscope":
 			cfg.Opt.IOMMUScope, err = topo.ParseIOMMUScope(v)
+		case "walkers":
+			cfg.Opt.IOMMUWalkers, err = parsePositive(v)
+		case "dmainflight":
+			cfg.Opt.MaxInFlight, err = parsePositive(v)
 		case "sp":
 			cfg.Opt.SuperPages, err = parseBool(v)
 		case "nojitter":
@@ -622,14 +665,7 @@ func resolveConfig(kv map[string]string) (Config, error) {
 				cfg.Workload.Moderation.IntrEvery, err = ParseSize(v)
 			}
 		case "endpoints":
-			var n int
-			if n, err = ParseSize(v); err == nil {
-				if n < 1 {
-					err = fmt.Errorf("endpoint count %d", n)
-				} else {
-					cfg.Shape.Endpoints = n
-				}
-			}
+			cfg.Shape.Endpoints, err = parsePositive(v)
 		case "switch":
 			cfg.Shape.Switch, err = topo.ParseSwitch(v)
 		case "socket":
@@ -901,7 +937,7 @@ func (s *Spec) Validate() error {
 	for _, c := range s.Cells() {
 		for pi, p := range s.probes() {
 			kv := s.mergedKV(c.KV, p.Set)
-			cfg, err := resolveConfig(kv)
+			cfg, err := resolveRunnable(kv)
 			if err != nil {
 				return fmt.Errorf("sweep: spec %q cell %d probe %d: %w", s.Name, c.Index, pi, err)
 			}
@@ -909,7 +945,7 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("sweep: spec %q cell %d: shared_instance cells cannot use multi-endpoint topologies", s.Name, c.Index)
 			}
 			if s.Contrast != nil {
-				if _, err := resolveConfig(s.mergedKV(kv, s.Contrast.Set)); err != nil {
+				if _, err := resolveRunnable(s.mergedKV(kv, s.Contrast.Set)); err != nil {
 					return fmt.Errorf("sweep: spec %q cell %d probe %d contrast: %w", s.Name, c.Index, pi, err)
 				}
 			}

@@ -41,6 +41,7 @@ func TestResolveConfig(t *testing.T) {
 		"pattern": "seq", "cache": "devwarm", "n": "123",
 		"direct": "true", "node": "1", "iommu": "on", "sp": "off",
 		"nojitter": "1", "buffer": "32M", "seed": "7",
+		"walkers": "3", "dmainflight": "12",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +57,8 @@ func TestResolveConfig(t *testing.T) {
 	}
 	o := cfg.Opt
 	if o.BufferNode != 1 || !o.IOMMU || o.SuperPages || !o.NoJitter ||
-		o.BufferSize != 32<<20 || o.Seed != 7 {
+		o.BufferSize != 32<<20 || o.Seed != 7 ||
+		o.IOMMUWalkers != 3 || o.MaxInFlight != 12 {
 		t.Errorf("options = %+v", o)
 	}
 	if o.Link != nil {
@@ -90,6 +92,12 @@ func TestResolveConfigErrors(t *testing.T) {
 		{"system": "PDP-11"},
 		{"gen": "9"},
 		{"lanes": "3"},
+		// Zero would silently select a default.
+		{"endpoints": "0"},
+		{"walkers": "0"},
+		{"walkers": "-1"},
+		{"dmainflight": "0"},
+		{"dmainflight": "-1"},
 	} {
 		if _, err := resolveConfig(kv); err == nil {
 			t.Errorf("resolveConfig(%v) accepted", kv)
@@ -196,6 +204,14 @@ func TestValidateErrors(t *testing.T) {
 			s.SharedInstance = true
 			s.Probes = []Probe{{Set: map[string]string{"iommu": "true"}}}
 		},
+		// Micro-benchmark parameters that could only fail mid-run: a
+		// window beyond the 64K buffer (also under a contrast), no
+		// window at all, an offset past the cache line, a negative n.
+		func(s *Spec) { s.Base["window"] = "128K" },
+		func(s *Spec) { s.Contrast = &Contrast{Set: map[string]string{"buffer": "2K"}} },
+		func(s *Spec) { delete(s.Base, "window") },
+		func(s *Spec) { s.Base["offset"] = "64" },
+		func(s *Spec) { s.Base["n"] = "-1" },
 	}
 	for i, mutate := range cases {
 		s := testSpec()
@@ -206,6 +222,12 @@ func TestValidateErrors(t *testing.T) {
 	}
 	if err := testSpec().Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
+	}
+	// An unset n is resolved from the quality level at run time.
+	s := testSpec()
+	delete(s.Base, "n")
+	if err := s.Validate(); err != nil {
+		t.Fatalf("spec without n rejected: %v", err)
 	}
 }
 

@@ -176,9 +176,10 @@ type Options struct {
 	// IOMMU interposes the IOMMU in the DMA path (§6.5); off by
 	// default like the paper's baseline runs.
 	IOMMU bool
-	// IOMMUConfig overrides the default IOMMU calibration (64 entries,
-	// 330ns walks, 6 walkers) when non-nil.
-	IOMMUConfig *iommu.Config
+	// IOMMUWalkers overrides the IOMMU's page-walker pool size (the
+	// calibrated default is 6) when positive. Ignored when IOMMU is
+	// false.
+	IOMMUWalkers int
 	// IOMMUScope selects how many translation units serve the fabric
 	// when IOMMU is set: "global" (or empty, the default) models one
 	// unit on every DMA path; "per-socket" gives each socket its own
@@ -193,12 +194,13 @@ type Options struct {
 	BufferSize int
 	// BufferNode selects the NUMA node for the buffer (§6.4).
 	BufferNode int
-	// AllocMode overrides the driver's allocation strategy (default:
-	// NFP chunked 4MB, NetFPGA hugetlbfs 1GB, per §5.3).
-	AllocMode *hostif.AllocMode
 	// NoJitter disables the per-system latency jitter model (useful
 	// for deterministic calibration tests).
 	NoJitter bool
+	// MaxInFlight overrides the adapter's in-flight DMA limit when
+	// positive (the §2 sizing argument's knob); 0 keeps the adapter's
+	// calibrated default.
+	MaxInFlight int
 	// Link overrides the PCIe link configuration (default Gen3 x8,
 	// the paper's setup). Used by the Gen4 projection experiments the
 	// paper's §6 anticipates.
@@ -295,8 +297,8 @@ func (s System) TopoSpec(shape topo.Shape, opt Options) (topo.Spec, error) {
 	}
 	if opt.IOMMU {
 		cfg := iommu.DefaultConfig()
-		if opt.IOMMUConfig != nil {
-			cfg = *opt.IOMMUConfig
+		if opt.IOMMUWalkers > 0 {
+			cfg.Walkers = opt.IOMMUWalkers
 		}
 		spec.IOMMU = &cfg
 		scope, err := topo.ParseIOMMUScope(opt.IOMMUScope)
@@ -336,8 +338,8 @@ func (s System) TopoSpec(shape topo.Shape, opt Options) (topo.Spec, error) {
 	}
 
 	devCfg, mode := s.deviceConfig()
-	if opt.AllocMode != nil {
-		mode = *opt.AllocMode
+	if opt.MaxInFlight > 0 {
+		devCfg.MaxInFlight = opt.MaxInFlight
 	}
 	size := opt.BufferSize
 	if size == 0 {
