@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"pciebench/internal/bench"
+	"pciebench/internal/hostif"
 	"pciebench/internal/iommu"
 	"pciebench/internal/mem"
 	"pciebench/internal/model"
@@ -753,6 +754,29 @@ func BenchmarkCacheRandomWindow(b *testing.B) {
 		} else {
 			c.DeviceWrite(addr, true)
 		}
+	}
+}
+
+// BenchmarkWarmHost measures what bench.Target.prepare does before a
+// host-warm run of Fig 7's largest window: Thrash, then a 64 MB host
+// warm through the NFP6000-BDW instance's buffer (sixteen 4 MB chunks
+// into the 25 MB LLC). Once the first warm has allocated the LLC pages,
+// a warm allocates nothing.
+func BenchmarkWarmHost(b *testing.B) { benchWarm(b, (*hostif.Buffer).WarmHost) }
+
+// BenchmarkWarmDevice is BenchmarkWarmHost for a device warm, which
+// allocates through the two DDIO ways of each set.
+func BenchmarkWarmDevice(b *testing.B) { benchWarm(b, (*hostif.Buffer).WarmDevice) }
+
+func benchWarm(b *testing.B, warm func(buf *hostif.Buffer, off, size int)) {
+	const window = 64 << 20
+	inst := mustBuild(b, "NFP6000-BDW", sysconf.Options{})
+	warm(inst.Buffer, 0, window)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inst.Host.Thrash()
+		warm(inst.Buffer, 0, window)
 	}
 }
 

@@ -44,7 +44,7 @@ func readLatency(t *testing.T, build func(*sim.Kernel, device.Path) (*device.Eng
 		t.Fatal(err)
 	}
 	// The paper's baseline (§6.1) warms the 8KB host buffer first.
-	ms.WarmHost(0, 0, 8<<10)
+	ms.WarmHost(0, []mem.Extent{{Addr: 0, Size: 8 << 10}})
 	var lat sim.Time
 	e.Submit(device.Op{DMA: 0, Size: sz, Direct: direct, OnDone: func(c device.Completion) {
 		lat = c.Done - c.Submitted

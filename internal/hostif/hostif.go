@@ -148,6 +148,7 @@ type Buffer struct {
 	host   *Host
 	mmu    *iommu.IOMMU // unit the buffer is mapped into (nil = untranslated)
 	chunks []chunk
+	warm   []mem.Extent // reused for the physical extents of one warm
 }
 
 // Alloc allocates a DMA buffer of size bytes on the given NUMA node,
@@ -175,7 +176,9 @@ func (h *Host) AllocIn(unit *iommu.IOMMU, size int, node int, mode AllocMode, ma
 		mapPage = mode.naturalPage()
 	}
 	cs := mode.chunkSize()
-	b := &Buffer{Size: size, Node: node, Mode: mode, host: h, mmu: unit}
+	nchunks := (size + cs - 1) / cs
+	b := &Buffer{Size: size, Node: node, Mode: mode, host: h, mmu: unit,
+		chunks: make([]chunk, 0, nchunks), warm: make([]mem.Extent, 0, nchunks)}
 
 	remaining := size
 	for remaining > 0 {
@@ -255,38 +258,36 @@ func (b *Buffer) Chunks() int { return len(b.chunks) }
 // WarmHost writes [off, off+size) from the CPU on the buffer's node,
 // pulling it into that node's LLC (paper §4 "host warm").
 func (b *Buffer) WarmHost(off, size int) {
-	b.forRange(off, size, func(pa uint64, n int) {
-		b.host.ms.WarmHost(b.Node, pa, n)
-	})
+	b.host.ms.WarmHost(b.Node, b.extents(off, size))
 }
 
 // WarmDevice loads [off, off+size) through the DDIO device-write path
 // (paper §4 "device warm").
 func (b *Buffer) WarmDevice(off, size int) {
-	b.forRange(off, size, func(pa uint64, n int) {
-		b.host.ms.WarmDevice(b.Node, pa, n)
-	})
+	b.host.ms.WarmDevice(b.Node, b.extents(off, size))
 }
 
-// forRange applies fn to the physically contiguous pieces of
-// [off, off+size).
-func (b *Buffer) forRange(off, size int, fn func(pa uint64, n int)) {
+// extents returns the physically contiguous pieces of [off, off+size)
+// in ascending offset order. They are handed to the memory system in
+// one call because a warm's evictions happen across chunks; the slice
+// is reused by the next call.
+func (b *Buffer) extents(off, size int) []mem.Extent {
+	ext := b.warm[:0]
 	for _, c := range b.chunks {
 		if size <= 0 {
-			return
+			break
 		}
 		if off >= c.size {
 			off -= c.size
 			continue
 		}
-		n := c.size - off
-		if n > size {
-			n = size
-		}
-		fn(c.pa+uint64(off), n)
+		n := min(c.size-off, size)
+		ext = append(ext, mem.Extent{Addr: c.pa + uint64(off), Size: n})
 		size -= n
 		off = 0
 	}
+	b.warm = ext
+	return ext
 }
 
 // Thrash resets all LLCs to a cold state, as the control programs do

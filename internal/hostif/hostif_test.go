@@ -194,6 +194,76 @@ func TestWarmSpansChunks(t *testing.T) {
 	}
 }
 
+// A warm hands the memory system every physical extent of its window
+// in one call. Its effect must be the per-line loop's over the same
+// lines — resident lines, counters and occupancy — both on cold sets,
+// where the evictions happen across chunks, and on live ones.
+func TestWarmMatchesPerLine(t *testing.T) {
+	const size = 10 << 20
+	for _, tc := range []struct {
+		mode      AllocMode
+		off, size int
+		device    bool
+	}{
+		{Chunked4M, 0, size, false},
+		{Chunked4M, 4<<20 - 200, 4<<20 + 300, true}, // partial lines at both ends
+		{Huge2M, 1<<20 + 8, 3 << 20, false},
+		{Huge2M, 0, size, true},
+	} {
+		ms, ref := testMem(t), testMem(t)
+		b, err := New(ms, nil).Alloc(size, 0, tc.mode, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, rc := ms.Node(0), ref.Node(0)
+		for pass := 0; pass < 3; pass++ {
+			if pass == 2 {
+				ms.Thrash()
+				ref.Thrash()
+			}
+			if tc.device {
+				b.WarmDevice(tc.off, tc.size)
+			} else {
+				b.WarmHost(tc.off, tc.size)
+			}
+			for o := tc.off; o < tc.off+tc.size; {
+				pa := b.PhysAddr(o)
+				if tc.device {
+					rc.DeviceWrite(pa/64*64, true)
+				} else {
+					rc.HostTouch(pa/64*64, true)
+				}
+				o += 64 - int(pa%64)
+			}
+			got := [6]uint64{c.Hits, c.Misses, c.Evictions, c.Writebacks, uint64(c.Occupancy()), uint64(c.DDIOOccupancy())}
+			want := [6]uint64{rc.Hits, rc.Misses, rc.Evictions, rc.Writebacks, uint64(rc.Occupancy()), uint64(rc.DDIOOccupancy())}
+			if got != want {
+				t.Fatalf("%v %+v pass %d: hits/misses/evictions/writebacks/occupancy/ddio %v, per-line %v", tc.mode, tc, pass, got, want)
+			}
+			for o := 0; o < size; o += 64 {
+				if pa := b.PhysAddr(o); c.Contains(pa) != rc.Contains(pa) {
+					t.Fatalf("%v %+v pass %d: offset %d resident %v, per-line %v", tc.mode, tc, pass, o, c.Contains(pa), rc.Contains(pa))
+				}
+			}
+		}
+	}
+}
+
+// A warm reuses the buffer's extent slice: on live sets, where the
+// memory system writes line by line, it allocates nothing.
+func TestWarmZeroAlloc(t *testing.T) {
+	b, err := New(testMem(t), nil).Alloc(10<<20, 0, Chunked4M, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.WarmHost(0, 10<<20)
+	for name, warm := range map[string]func(off, size int){"WarmHost": b.WarmHost, "WarmDevice": b.WarmDevice} {
+		if allocs := testing.AllocsPerRun(20, func() { warm(4<<20-64, 4<<20+128) }); allocs != 0 {
+			t.Errorf("%s on live sets: %v allocs, want 0", name, allocs)
+		}
+	}
+}
+
 func TestBufferFree(t *testing.T) {
 	k := sim.New(1)
 	mmu := iommu.New(k, iommu.DefaultConfig())

@@ -22,6 +22,8 @@
 // metadata at all.
 package mem
 
+import "sync"
+
 // LineState is the state of one cache line.
 type LineState uint8
 
@@ -333,6 +335,161 @@ func (p *page) victimDDIO(base, ways, quota int) int {
 		return base + firstInvalid
 	}
 	return base + bestAll
+}
+
+// warm writes every line of extents, in order: as host writes
+// (HostTouch, any way of the set) or, when device is set, as full-line
+// device writes (DeviceWrite, within the DDIO quota). Results,
+// counters and LRU state are those of the per-line loop.
+//
+// A warm into cold sets is applied in closed form. When no set the warm
+// touches holds a live line and the extents ascend without sharing a
+// line, every line misses, and the m-th line a set receives lands in
+// way m mod q, q being the ways it may allocate (Ways for the host,
+// DDIOWays for the device): the first q fill the set's invalid ways in
+// order, and each later one evicts the least recently written, which
+// is the line q before it. So only a set's last q lines survive, and
+// every other line is evicted, dirty, by a later line of the same warm.
+// The closed form writes just the survivors with the stamps the loop
+// would give them and counts the rest in bulk. Right after Thrash, and
+// on a fresh cache, every set is cold.
+func (c *Cache) warm(extents []Extent, device bool) {
+	if !c.cold(extents) {
+		line := uint64(c.cfg.LineSize)
+		for _, e := range extents {
+			end := e.Addr + uint64(e.Size)
+			for a := e.Addr / line * line; a < end; a += line {
+				if device {
+					c.DeviceWrite(a, true)
+				} else {
+					c.HostTouch(a, true)
+				}
+			}
+		}
+		return
+	}
+	q, meta := uint64(c.cfg.Ways), uint8(Dirty)
+	if device {
+		q, meta = uint64(c.cfg.DDIOWays), uint8(Dirty)|ddioBit
+	}
+	nsets := c.nsets
+	counts := warmCounts.Get().(*[]uint32)
+	if uint64(len(*counts)) < 2*nsets {
+		*counts = make([]uint32, 2*nsets)
+	}
+	// total[s] counts the warm's lines in set s; seen[s] those in the
+	// extents already written. Both return to zero with the set's last
+	// extent, so the pool holds zeroed counters.
+	total, seen := (*counts)[:nsets], (*counts)[nsets:2*nsets]
+	for _, e := range extents {
+		first, n := c.span(e)
+		full, part := n/nsets, n%nsets
+		s := first % nsets
+		for i := range min(n, nsets) {
+			total[s] += uint32(full + b2u(i < part))
+			if s++; s == nsets {
+				s = 0
+			}
+		}
+	}
+	var g, evicted uint64 // g: the warm's lines before the extent
+	for _, e := range extents {
+		first, n := c.span(e)
+		full, part := n/nsets, n%nsets
+		s := first % nsets
+		for i := range min(n, nsets) {
+			// The extent's k lines in set s are first+i+j*nsets for
+			// j < k; a line survives when fewer than q of the set's
+			// lines follow it.
+			k := full + b2u(i < part)
+			before := uint64(seen[s])
+			after := uint64(total[s]) - before - k
+			keep := min(k, q-min(q, after))
+			evicted += k - keep
+			if keep > 0 {
+				p := c.own(s >> pageShift)
+				base := int(s&(pageSets-1)) * c.cfg.Ways
+				for j := k - keep; j < k; j++ {
+					w := base + int((before+j)%q)
+					off := i + j*nsets
+					p.tags[w], p.use[w], p.meta[w] = first+off, c.clock+1+g+off, meta
+				}
+			}
+			if seen[s] += uint32(k); seen[s] == total[s] {
+				seen[s], total[s] = 0, 0
+			}
+			if s++; s == nsets {
+				s = 0
+			}
+		}
+		g += n
+	}
+	warmCounts.Put(counts)
+	c.clock += g
+	c.Misses += g
+	c.Evictions += evicted
+	c.Writebacks += evicted
+}
+
+// warmCounts pools the per-set line counters of closed-form warms
+// (2 × Sets), zeroed between uses.
+var warmCounts = sync.Pool{New: func() any { return new([]uint32) }}
+
+// b2u is 1 for true and 0 for false.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// span returns the number of the first line extent e covers and how
+// many lines, as the per-line loop steps through them.
+func (c *Cache) span(e Extent) (first, n uint64) {
+	line := uint64(c.cfg.LineSize)
+	first = e.Addr / line
+	if end := e.Addr + uint64(e.Size); end > first*line {
+		n = (end - first*line + line - 1) / line
+	}
+	return first, n
+}
+
+// cold reports whether the closed form applies to a warm of extents:
+// they ascend without sharing a line, and no set they touch holds a
+// live line. It stops at the first extent out of order or the first
+// live set.
+func (c *Cache) cold(extents []Extent) bool {
+	var next uint64 // lowest line the next extent may start at
+	for _, e := range extents {
+		first, n := c.span(e)
+		if n == 0 {
+			continue
+		}
+		if first < next {
+			return false
+		}
+		next = first + n
+		// The extent touches min(n, Sets) consecutive sets, wrapping;
+		// scan them a page at a time, skipping pages that are not live.
+		s := first % c.nsets
+		for left := min(n, c.nsets); left > 0; {
+			pi := s >> pageShift
+			m := min(left, min((pi+1)<<pageShift, c.nsets)-s)
+			if p := c.live(pi); p != nil {
+				lo := int(s&(pageSets-1)) * c.cfg.Ways
+				for _, b := range p.meta[lo : lo+int(m)*c.cfg.Ways] {
+					if b != 0 {
+						return false
+					}
+				}
+			}
+			left -= m
+			if s += m; s == c.nsets {
+				s = 0
+			}
+		}
+	}
+	return true
 }
 
 // Thrash resets the cache to a cold state, as the paper's control

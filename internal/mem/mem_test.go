@@ -241,7 +241,7 @@ func TestSystemWarmHitColdMiss(t *testing.T) {
 	if cold != s.Config().DRAMLatency {
 		t.Errorf("cold read latency %v, want DRAM %v", cold, s.Config().DRAMLatency)
 	}
-	s.WarmHost(0, 0, 64)
+	s.WarmHost(0, []Extent{{Addr: 0, Size: 64}})
 	warm := s.Access(false, 0, 0, 64)
 	if warm != s.Config().LLCLatency {
 		t.Errorf("warm read latency %v, want LLC %v", warm, s.Config().LLCLatency)
@@ -254,7 +254,7 @@ func TestSystemWarmHitColdMiss(t *testing.T) {
 
 func TestSystemRemotePenalty(t *testing.T) {
 	s, _ := NewSystem(sysConfig())
-	s.WarmHost(1, 0, 64)
+	s.WarmHost(1, []Extent{{Addr: 0, Size: 64}})
 	local := s.Access(false, 0, 0, 64)  // node 0 cold
 	remote := s.Access(false, 1, 0, 64) // node 1 warm but remote
 	if remote != s.Config().LLCLatency+s.Config().RemoteLatency {
@@ -272,13 +272,13 @@ func TestSystemMultiLineWorstCase(t *testing.T) {
 	s, _ := NewSystem(sysConfig())
 	// Warm only the first line of a 256B range: latency is the worst
 	// (DRAM) line.
-	s.WarmHost(0, 0, 64)
+	s.WarmHost(0, []Extent{{Addr: 0, Size: 64}})
 	got := s.Access(false, 0, 0, 256)
 	if got != s.Config().DRAMLatency {
 		t.Errorf("partially warm 256B read = %v, want DRAM", got)
 	}
 	// Fully warm: LLC.
-	s.WarmHost(0, 0, 256)
+	s.WarmHost(0, []Extent{{Addr: 0, Size: 256}})
 	if got := s.Access(false, 0, 0, 256); got != s.Config().LLCLatency {
 		t.Errorf("fully warm 256B read = %v, want LLC", got)
 	}
@@ -302,7 +302,7 @@ func TestSystemPartialWriteRMW(t *testing.T) {
 
 func TestSystemDeviceWarm(t *testing.T) {
 	s, _ := NewSystem(sysConfig())
-	s.WarmDevice(0, 0, 256)
+	s.WarmDevice(0, []Extent{{Addr: 0, Size: 256}})
 	if got := s.Access(false, 0, 0, 64); got != s.Config().LLCLatency {
 		t.Errorf("read after device warm = %v, want LLC", got)
 	}
@@ -313,7 +313,7 @@ func TestSystemDeviceWarm(t *testing.T) {
 
 func TestSystemThrash(t *testing.T) {
 	s, _ := NewSystem(sysConfig())
-	s.WarmHost(0, 0, 1024)
+	s.WarmHost(0, []Extent{{Addr: 0, Size: 1024}})
 	s.Thrash()
 	if got := s.Access(false, 0, 0, 64); got != s.Config().DRAMLatency {
 		t.Errorf("read after thrash = %v, want DRAM", got)
@@ -420,6 +420,8 @@ func TestCacheAccessZeroAlloc(t *testing.T) {
 	// stay inside it.
 	var addr uint64
 	next := func() uint64 { addr = (addr + 64) % (pageSets / 2 * 64); return addr }
+	// A warm whose first set holds a live line writes line by line.
+	live := []Extent{{Addr: 0, Size: 256}, {Addr: 1024, Size: 512}}
 	for name, op := range map[string]func(){
 		"DeviceRead":      func() { c.DeviceRead(next()) },
 		"DeviceWrite":     func() { c.DeviceWrite(next(), addr%128 == 0) },
@@ -430,6 +432,7 @@ func TestCacheAccessZeroAlloc(t *testing.T) {
 		"Access remote":   func() { s.Access(false, 1, next(), 64) },
 		"Contains":        func() { c.Contains(next()) },
 		"Thrash, rewrite": func() { c.Thrash(); c.DeviceWrite(next(), true) },
+		"Warm, live sets": func() { c.HostTouch(0, true); c.warm(live, addr%128 == 0) },
 	} {
 		if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
 			t.Errorf("%s on an allocated page: %v allocs, want 0", name, allocs)

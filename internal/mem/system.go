@@ -155,33 +155,32 @@ func (s *System) AccessFrom(write bool, from, home int, addr uint64, size int) s
 	return worst
 }
 
-// WarmHost writes the byte range [addr, addr+size) from the CPU on the
-// given node, bringing it into that node's LLC (dirty), as the paper's
-// "host warm" control does.
-func (s *System) WarmHost(node int, addr uint64, size int) {
-	if node < 0 || node >= len(s.nodes) {
-		node = 0
-	}
-	llc := s.nodes[node]
-	line := s.line
-	first := addr / line * line
-	for a := first; a < addr+uint64(size); a += line {
-		llc.HostTouch(a, true)
-	}
+// Extent is one physically contiguous byte range [Addr, Addr+Size).
+type Extent struct {
+	Addr uint64
+	Size int
 }
 
-// WarmDevice issues device writes over the range, loading it through the
-// DDIO allocation path ("device warm").
-func (s *System) WarmDevice(node int, addr uint64, size int) {
+// WarmHost writes every line of extents, in order, from the CPU on the
+// given node, bringing them into that node's LLC (dirty), as the
+// paper's "host warm" control does.
+func (s *System) WarmHost(node int, extents []Extent) {
+	s.llc(node).warm(extents, false)
+}
+
+// WarmDevice issues full-line device writes over every line of
+// extents, in order, loading them through the DDIO allocation path
+// ("device warm").
+func (s *System) WarmDevice(node int, extents []Extent) {
+	s.llc(node).warm(extents, true)
+}
+
+// llc returns node's LLC, or node 0's for an out-of-range node.
+func (s *System) llc(node int) *Cache {
 	if node < 0 || node >= len(s.nodes) {
 		node = 0
 	}
-	llc := s.nodes[node]
-	line := s.line
-	first := addr / line * line
-	for a := first; a < addr+uint64(size); a += line {
-		llc.DeviceWrite(a, true)
-	}
+	return s.nodes[node]
 }
 
 // Thrash resets every node's LLC to a cold state.

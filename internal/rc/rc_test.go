@@ -99,7 +99,7 @@ func TestSingleReadTimeline(t *testing.T) {
 func TestWarmReadFaster(t *testing.T) {
 	_, r, ms := newRC(t)
 	cold, _ := r.DMARead(0, 0, 64)
-	ms.WarmHost(0, 0, 64)
+	ms.WarmHost(0, []mem.Extent{{Addr: 0, Size: 64}})
 	warm, _ := r.DMARead(cold.Complete, 0, 64)
 	coldLat := cold.Complete - 0
 	warmLat := warm.Complete - cold.Complete

@@ -191,10 +191,17 @@ func (f *fcWindow) ready(t sim.Time, payload int) sim.Time {
 
 // note records the TLP's future drain. Drain times on one serialized
 // direction are almost always monotone; the insertion keeps the FIFO
-// sorted for the rare unreserved-return exceptions.
+// sorted for the rare unreserved-return exceptions. When the backing
+// array is full, the drained prefix is reclaimed before it can grow: at
+// most the header credits' worth of TLPs are outstanding, so the FIFO
+// stays bounded under saturation.
 func (f *fcWindow) note(at sim.Time, payload int) {
 	if f.tx == nil {
 		return
+	}
+	if len(f.pending) == cap(f.pending) && f.phead > 0 {
+		n := copy(f.pending, f.pending[f.phead:])
+		f.pending, f.phead = f.pending[:n], 0
 	}
 	f.pending = append(f.pending, fcRelease{at: at, payload: payload})
 	for i := len(f.pending) - 1; i > f.phead && f.pending[i].at < f.pending[i-1].at; i-- {

@@ -151,7 +151,8 @@ func (w *closedLoopWriter) Handle(k *sim.Kernel, _, _ int64) {
 // property: N identical closed-loop endpoints saturating one shared
 // uplink each get an equal share of it — per-port forwarded bytes
 // within 1% of each other — and every port's arbitration wait grows
-// with the backlog.
+// with the backlog. Each credit window's drain FIFO stays within twice
+// its header credits: drained entries are reclaimed, not kept.
 func TestSwitchRoundRobinFairnessUnderSaturation(t *testing.T) {
 	const ports = 4
 	cfg := DefaultSwitchTestConfig()
@@ -178,6 +179,13 @@ func TestSwitchRoundRobinFairnessUnderSaturation(t *testing.T) {
 	}
 	if min == 0 || float64(min)/float64(max) < 0.99 {
 		t.Errorf("unfair partitioning: min %d bytes vs max %d bytes", min, max)
+	}
+	for d := range sw.fc {
+		for ct, f := range sw.fc[d] {
+			if f.tx != nil && cap(f.pending) > 2*f.capacity.Hdr {
+				t.Errorf("direction %d pool %d: drain FIFO holds %d entries for %d header credits", d, ct, cap(f.pending), f.capacity.Hdr)
+			}
+		}
 	}
 	if !sw.FCIdle() {
 		t.Error("flow-control credits leaked")
