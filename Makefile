@@ -85,14 +85,14 @@ bench-compare:
 	rm -f bench-compare.out
 
 # Runs the hot-path benchmarks that must stay allocation-free in steady
-# state (event kernel, LLC model sequential and random-window access,
-# IO-TLB translation, the end-to-end simulated DMA loop, and the 64 MB
-# host and device LLC warms) at a fixed iteration count, and fails if
-# any of them reports non-zero allocs/op. The warms take milliseconds
-# each, so they run 200 times rather than 20000. What CI's
-# "Zero-allocation gate" step runs.
+# state (event kernel, root-complex pipeline, LLC model sequential and
+# random-window access, IO-TLB translation, the end-to-end simulated DMA
+# loop, and the 64 MB host and device LLC warms) at a fixed iteration
+# count, and fails if any of them reports non-zero allocs/op. The warms
+# take milliseconds each, so they run 200 times rather than 20000. What
+# CI's "Zero-allocation gate" step runs.
 alloc-gate:
-	@out="$$($(GO) test -run '^$$' -bench '^Benchmark(KernelEventLoop|CacheDeviceAccess|CacheRandomWindow|IOMMUTranslate|SimulatedDMARate)$$' \
+	@out="$$($(GO) test -run '^$$' -bench '^Benchmark(KernelEventLoop|MultiServer|CacheDeviceAccess|CacheRandomWindow|IOMMUTranslate|SimulatedDMARate)$$' \
 		-benchtime 20000x -benchmem . && \
 		$(GO) test -run '^$$' -bench '^BenchmarkWarm(Host|Device)$$' -benchtime 200x -benchmem .)" || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \

@@ -9,6 +9,7 @@
 package pciebench
 
 import (
+	"math/rand"
 	"testing"
 
 	"pciebench/internal/bench"
@@ -837,4 +838,27 @@ func BenchmarkKernelEventLoop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	k.Run()
+}
+
+// BenchmarkMultiServer measures one reservation on a 24-slot
+// root-complex pipeline: FIFO arrivals 0–8 ns apart and 100–130 ns
+// service times, both drawn from a fixed seeded table, so the arrivals
+// slightly outrun the pipeline and every reservation queues. It must
+// report 0 allocs/op.
+func BenchmarkMultiServer(b *testing.B) {
+	const table = 1024
+	rng := rand.New(rand.NewSource(1))
+	var gaps, service [table]sim.Time
+	for i := range gaps {
+		gaps[i] = sim.Time(rng.Int63n(int64(8*sim.Nanosecond) + 1))
+		service[i] = 100*sim.Nanosecond + sim.Time(rng.Int63n(int64(30*sim.Nanosecond)+1))
+	}
+	s := sim.NewMultiServer(sim.New(1), 24)
+	var at sim.Time
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at += gaps[i%table]
+		s.ScheduleAt(at, service[i%table])
+	}
 }

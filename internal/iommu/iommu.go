@@ -31,6 +31,7 @@ package iommu
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"pciebench/internal/sim"
 )
@@ -75,6 +76,7 @@ var (
 	ErrOverlap    = errors.New("iommu: mapping overlaps an existing one")
 	ErrBadPage    = errors.New("iommu: page size must be 4K, 2M or 1G")
 	ErrMisaligned = errors.New("iommu: mapping addresses must be page aligned")
+	ErrBadSize    = errors.New("iommu: mapping must be non-empty and must not wrap")
 )
 
 type mapping struct {
@@ -83,16 +85,18 @@ type mapping struct {
 	pageSize uint64
 }
 
-// tlbKey identifies one IO-TLB entry: the covering page and its size.
-type tlbKey struct {
-	pageBase uint64 // IOVA base of the covering page
-	pageSize uint64
+// tlbKey identifies one IO-TLB entry: the covering page's IOVA base
+// with log2 of its size in the low bits, which the base (at least 4 KB
+// aligned) leaves zero. One uint64 keeps the index on the map's 64-bit
+// fast path.
+func tlbKey(pageBase, pageSize uint64) uint64 {
+	return pageBase | uint64(bits.TrailingZeros64(pageSize))
 }
 
 // tlbEntry is one arena slot; prev/next thread the intrusive LRU list
 // (head = most recently used, tail = eviction victim; -1 terminates).
 type tlbEntry struct {
-	key        tlbKey
+	key        uint64 // tlbKey of the covering page
 	pa         uint64 // PA base of the covering page
 	prev, next int32
 }
@@ -101,11 +105,12 @@ type tlbEntry struct {
 type IOMMU struct {
 	cfg     Config
 	walkers *sim.MultiServer
-	maps    []mapping // sorted by iova, non-overlapping
+	maps    []mapping // sorted by iova, non-overlapping, non-wrapping
+	hint    int       // index of the mapping lookupMapping found last
 
 	// IO-TLB: fixed entry arena + hash index + intrusive LRU list.
 	tlb        []tlbEntry // len = live entries, cap = TLBEntries
-	index      map[tlbKey]int32
+	index      map[uint64]int32
 	head, tail int32
 
 	// Statistics.
@@ -127,7 +132,7 @@ func New(k *sim.Kernel, cfg Config) *IOMMU {
 		cfg:     cfg,
 		walkers: sim.NewMultiServer(k, cfg.Walkers),
 		tlb:     make([]tlbEntry, 0, cfg.TLBEntries),
-		index:   make(map[tlbKey]int32, cfg.TLBEntries),
+		index:   make(map[uint64]int32, cfg.TLBEntries),
 		head:    -1,
 		tail:    -1,
 	}
@@ -152,11 +157,16 @@ func (u *IOMMU) lowerBound(iova uint64) int {
 
 // Map installs a translation of size bytes from IOVA to PA with the
 // given page granularity. All addresses must be aligned to pageSize and
-// size a multiple of it; the range must not overlap existing mappings.
+// size a positive multiple of it; neither range may wrap past the top
+// of the address space, and the IOVA range must not overlap existing
+// mappings.
 func (u *IOMMU) Map(iova, pa uint64, size int, pageSize int) error {
 	ps := uint64(pageSize)
 	if pageSize != Page4K && pageSize != Page2M && pageSize != Page1G {
 		return ErrBadPage
+	}
+	if size <= 0 || iova+uint64(size) < iova || pa+uint64(size) < pa {
+		return ErrBadSize
 	}
 	if iova%ps != 0 || pa%ps != 0 || uint64(size)%ps != 0 {
 		return ErrMisaligned
@@ -187,13 +197,22 @@ func (u *IOMMU) Unmap(iova uint64) error {
 	return fmt.Errorf("%w: iova %#x", ErrUnmapped, iova)
 }
 
-// lookupMapping finds the mapping covering iova by binary search.
+// lookupMapping finds the mapping covering iova: the one it found last
+// if that covers iova, else by binary search. Mappings never overlap,
+// so a covering hint is the mapping the search would find; a hint left
+// stale by Map or Unmap costs one search.
 func (u *IOMMU) lookupMapping(iova uint64) (mapping, bool) {
+	if u.hint < len(u.maps) {
+		if m := u.maps[u.hint]; iova >= m.iova && iova < m.iova+m.size {
+			return m, true
+		}
+	}
 	i := u.lowerBound(iova) - 1
 	if i < 0 {
 		return mapping{}, false
 	}
 	if m := u.maps[i]; iova < m.iova+m.size {
+		u.hint = i
 		return m, true
 	}
 	return mapping{}, false
@@ -217,16 +236,17 @@ func (u *IOMMU) Translate(at sim.Time, iova uint64) (Result, error) {
 		u.Faults++
 		return Result{}, fmt.Errorf("%w: iova %#x", ErrUnmapped, iova)
 	}
-	pageBase := iova / m.pageSize * m.pageSize
+	pageBase := iova &^ (m.pageSize - 1)
 	pa := m.pa + (iova - m.iova)
-	if i, ok := u.index[tlbKey{pageBase, m.pageSize}]; ok {
+	key := tlbKey(pageBase, m.pageSize)
+	if i, ok := u.index[key]; ok {
 		u.touch(i)
 		u.Hits++
 		return Result{PA: pa, Ready: at + u.cfg.HitLatency, Hit: true}, nil
 	}
 	u.Misses++
 	ready := u.walkers.ScheduleAt(at, u.cfg.WalkLatency)
-	u.install(tlbKey{pageBase, m.pageSize}, m.pa+(pageBase-m.iova))
+	u.install(key, m.pa+(pageBase-m.iova))
 	return Result{PA: pa, Ready: ready, Hit: false}, nil
 }
 
@@ -250,7 +270,7 @@ func (u *IOMMU) touch(i int32) {
 
 // install inserts a TLB entry at the list head, evicting the LRU tail
 // when the arena is full.
-func (u *IOMMU) install(key tlbKey, pa uint64) {
+func (u *IOMMU) install(key, pa uint64) {
 	var i int32
 	if len(u.tlb) < u.cfg.TLBEntries {
 		i = int32(len(u.tlb))

@@ -31,6 +31,26 @@ func TestMapValidation(t *testing.T) {
 	if err := u.Map(0, 0, Page4K+1, Page4K); err != ErrMisaligned {
 		t.Errorf("unaligned size: %v", err)
 	}
+	// Empty and wrapping ranges pass the alignment check (uint64 of a
+	// negative page multiple is a page multiple) and must still fail.
+	for _, c := range []struct {
+		iova, pa uint64
+		size     int
+	}{
+		{1 << 40, 1 << 30, 0},
+		{1 << 40, 1 << 30, -Page4K},
+		{1 << 40, 1 << 30, -(1 << 40)},
+		{1<<64 - Page4K, 1 << 30, 2 * Page4K},
+		{1<<64 - Page4K, 1 << 30, Page4K},
+		{1 << 40, 1<<64 - Page4K, 2 * Page4K},
+	} {
+		if err := u.Map(c.iova, c.pa, c.size, Page4K); err != ErrBadSize {
+			t.Errorf("Map(%#x, %#x, %d): %v, want ErrBadSize", c.iova, c.pa, c.size, err)
+		}
+	}
+	if len(u.maps) != 0 {
+		t.Fatalf("rejected maps installed %d mappings", len(u.maps))
+	}
 	if err := u.Map(0, 1<<20, 4*Page4K, Page4K); err != nil {
 		t.Fatalf("good map: %v", err)
 	}

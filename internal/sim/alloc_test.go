@@ -37,15 +37,15 @@ func TestTypedEventLoopZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMultiServerEarliestSlot is the regression test for the
-// ScheduleAt min-scan: with staggered busy slots, work must land on the
-// earliest-free slot, including slots later in the array than slot 0.
+// TestMultiServerEarliestSlot is the regression test for ScheduleAt's
+// choice of slot: with the slots busy until staggered horizons, work
+// must queue behind the earliest horizon, whichever reservation set it.
 func TestMultiServerEarliestSlot(t *testing.T) {
 	k := New(1)
 	s := NewMultiServer(k, 3)
 
-	// Occupy the slots with decreasing horizons: slot 0 busiest, slot 2
-	// freest. (Schedule fills the current earliest slot each call.)
+	// Occupy the slots with decreasing horizons: 300, 200, then 100.
+	// (Each call takes the current earliest horizon.)
 	if got := s.ScheduleAt(0, 300); got != 300 {
 		t.Fatalf("first reservation done at %v, want 300", got)
 	}
@@ -56,9 +56,8 @@ func TestMultiServerEarliestSlot(t *testing.T) {
 		t.Fatalf("third reservation done at %v, want 100", got)
 	}
 
-	// All slots busy; the earliest-free is the one that frees at 100 —
-	// a non-zero slot index. A scan that sticks to slot 0 would return
-	// 300+50.
+	// All slots busy; the earliest horizon is 100, set by the third
+	// reservation. Queueing behind the first one would return 300+50.
 	if got := s.ScheduleAt(0, 50); got != 150 {
 		t.Fatalf("fourth reservation done at %v, want 150 (queued behind the earliest-free slot)", got)
 	}

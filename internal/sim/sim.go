@@ -301,10 +301,16 @@ func (s *Server) Utilization() float64 {
 // service concurrently, further requests wait for the earliest free
 // slot. It models resources with internal parallelism — IOMMU page
 // walkers, root-complex pipeline slots, DRAM banks.
+//
+// Slots are interchangeable: a reservation depends only on the earliest
+// horizon and replaces it. So the horizons are kept as a ring sorted
+// ascending from head: a reservation pops the head and inserts the new
+// horizon from the tail, walking back past larger ones. The new horizon
+// is usually the latest, so the walk is short.
 type MultiServer struct {
-	k     *Kernel
-	slots []Time
-	busy  Time
+	k    *Kernel
+	ring []Time // slot horizons, ascending cyclically from head
+	head int
 }
 
 // NewMultiServer returns an m-slot server (m >= 1).
@@ -312,7 +318,7 @@ func NewMultiServer(k *Kernel, m int) *MultiServer {
 	if m < 1 {
 		m = 1
 	}
-	return &MultiServer{k: k, slots: make([]Time, m)}
+	return &MultiServer{k: k, ring: make([]Time, m)}
 }
 
 // Schedule reserves d of service on the earliest available slot,
@@ -323,33 +329,35 @@ func (s *MultiServer) Schedule(d Time) Time {
 
 // ScheduleAt reserves d of service starting no earlier than t.
 func (s *MultiServer) ScheduleAt(t Time, d Time) Time {
-	// Direct min-scan for the earliest-free slot.
-	best := 0
-	bestFree := s.slots[0]
-	for i := 1; i < len(s.slots); i++ {
-		if s.slots[i] < bestFree {
-			best, bestFree = i, s.slots[i]
-		}
-	}
+	r := s.ring
 	start := t
 	if s.k.now > start {
 		start = s.k.now
 	}
-	if bestFree > start {
-		start = bestFree
+	if r[s.head] > start {
+		start = r[s.head]
 	}
-	s.slots[best] = start + d
-	s.busy += d
-	return s.slots[best]
+	done := start + d
+	// Pop the head; its cell becomes the tail, where done goes in.
+	i := s.head
+	s.head++
+	if s.head == len(r) {
+		s.head = 0
+	}
+	for i != s.head {
+		p := i - 1
+		if p < 0 {
+			p = len(r) - 1
+		}
+		if r[p] <= done {
+			break
+		}
+		r[i] = r[p]
+		i = p
+	}
+	r[i] = done
+	return done
 }
 
 // Slots returns the number of parallel servers.
-func (s *MultiServer) Slots() int { return len(s.slots) }
-
-// Utilization returns aggregate busy time over elapsed time times slots.
-func (s *MultiServer) Utilization() float64 {
-	if s.k.now == 0 {
-		return 0
-	}
-	return float64(s.busy) / (float64(s.k.now) * float64(len(s.slots)))
-}
+func (s *MultiServer) Slots() int { return len(s.ring) }
