@@ -111,6 +111,11 @@ func TestWorkloadBenchErrors(t *testing.T) {
 		{"-bench", "workload", "-nic", "exotic"},
 		{"-bench", "workload", "-intrmod", "sometimes"},
 		{"-bench", "workload", "-n", "0"},
+		// Counts that would silently run another configuration.
+		{"-bench", "workload", "-intrmod", "0"},
+		{"-bench", "workload", "-intrmod", "-3"},
+		{"-bench", "workload", "-queues", "-3"},
+		{"-bench", "workload", "-doorbell", "-4"},
 	}
 	for _, args := range cases {
 		if _, err := runCLI(t, args...); err == nil {
@@ -274,5 +279,45 @@ func TestFaultFlags(t *testing.T) {
 		if _, err := runCLI(t, append([]string{"-bench", "lat_rd", "-n", "100"}, bad...)...); err == nil {
 			t.Errorf("%v accepted", bad)
 		}
+	}
+}
+
+// TestSimParallelIdentity runs multi-island fabrics serially and with
+// four simulation workers; the output must not differ by a byte. Every
+// shape splits into several islands (a shared switch or socket, or a
+// global-scope IOMMU, builds one island serially, so diffing it would
+// compare serial with serial): the split topology, the split topology
+// with per-socket IOMMU units, an open-loop IMIX run with BER replays
+// and link retrains, and a BER run whose fault counters must print.
+func TestSimParallelIdentity(t *testing.T) {
+	split := []string{"-system", "NFP6000-BDW", "-bench", "workload", "-socket", "split", "-local-buffers"}
+	cases := []struct {
+		name   string
+		args   []string
+		faults bool
+	}{
+		{"split", []string{"-endpoints", "4", "-nojitter", "-n", "400"}, false},
+		{"split-iommu", []string{"-endpoints", "4", "-nojitter", "-iommu", "-iommu-scope", "per-socket", "-n", "300"}, false},
+		{"openloop-faults", []string{"-endpoints", "8", "-sizes", "imix", "-arrival", "poisson:2M:burst=4", "-ber", "1e-6", "-retrain", "50us", "-n", "300"}, false},
+		{"ber", []string{"-endpoints", "4", "-nojitter", "-ber", "1e-6", "-n", "300"}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append(append([]string(nil), split...), tc.args...)
+			serial, err := runCLI(t, append(args, "-sim-parallel", "1")...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parallel, err := runCLI(t, append(args, "-sim-parallel", "4")...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if serial != parallel {
+				t.Errorf("-sim-parallel 4 diverged from serial:\n%s\n--- serial ---\n%s", parallel, serial)
+			}
+			if tc.faults && !strings.Contains(serial, "faults:") {
+				t.Errorf("BER run printed no fault counters:\n%s", serial)
+			}
+		})
 	}
 }

@@ -405,6 +405,11 @@ func TestErrorResponses(t *testing.T) {
 	if code, body := post(`{"name":"bad","axes":[{"name":"window","values":["8K","128M"]}],"base":{"bench":"bw_rd","n":"200","transfer":"64"}}`, ""); code != http.StatusBadRequest || !strings.Contains(body, "larger than the host buffer") {
 		t.Errorf("oversized window: %d %s (want 400)", code, body)
 	}
+	// So is a p2p cell with a negative sample count, even behind a
+	// valid cell that would otherwise have run first.
+	if code, body := post(`{"name":"bad","axes":[{"name":"n","values":["100","-5"]}],"base":{"bench":"p2p","transfer":"256"}}`, ""); code != http.StatusBadRequest || !strings.Contains(body, "n=-5") {
+		t.Errorf("negative p2p n: %d %s (want 400)", code, body)
+	}
 	if code, body := post(`{"run": "no-such-sweep"}`, ""); code != http.StatusNotFound {
 		t.Errorf("unknown registered sweep: %d %s", code, body)
 	}

@@ -10,10 +10,13 @@ import (
 	"pciebench/internal/runner"
 )
 
-// Engine is the single execution entry point every run path shares —
-// the CLIs (pcie-repro, pcie-bench -run/-spec/-suite) and the serving
-// layer (internal/serve) all drive sweeps through it. A run is
-// expand -> dedup-against-cache -> execute -> emit:
+// Engine is the single execution entry point every grid shares — the
+// CLIs (pcie-repro, pcie-bench -run/-spec/-suite) and the serving
+// layer (internal/serve) all drive sweeps through it. A pcie-bench
+// single run is one cell measured by Single, which shares the engine's
+// measurement code but needs none of its grid, seed mixing, quality
+// defaults or cache. A run is expand -> dedup-against-cache -> execute
+// -> emit:
 //
 //   - the grid expands to cells in deterministic enumeration order;
 //   - each cell's canonical job document is hashed into a content
@@ -98,7 +101,7 @@ type probeJob struct {
 func (e *Engine) cellKey(s *Spec, c Cell) (string, error) {
 	var seed int64
 	if v, ok := c.KV["seed"]; ok {
-		n, err := ParseSize(v)
+		n, err := parseSize(v)
 		if err != nil {
 			return "", err
 		}

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"pciebench/internal/cache"
@@ -369,5 +370,64 @@ func TestEngineQuarantinesCorruptEntry(t *testing.T) {
 		t.Fatal(err)
 	} else if stats.Hits != 4 {
 		t.Fatalf("second run should hit all cells: %+v", stats)
+	}
+}
+
+// TestSingleMatchesEngine pins that a single run measures exactly what
+// the engine measures for the same assignment as a one-cell fixed-seed
+// spec. Single runs also sample switch waits, which the engine leaves
+// off, so the switched cases check that sampling never perturbs a
+// result.
+func TestSingleMatchesEngine(t *testing.T) {
+	cases := []struct {
+		name       string
+		kv         map[string]string
+		simWorkers int
+	}{
+		{"switched-workload", map[string]string{"bench": "workload", "endpoints": "3", "switch": "on", "sizes": "512", "n": "200", "seed": "1"}, 1},
+		{"p2p-bounce", map[string]string{"bench": "p2p", "p2p": "bounce", "transfer": "1024", "n": "100", "seed": "1"}, 1},
+		{"lat-rd-cto", map[string]string{"bench": "lat_rd", "window": "8K", "transfer": "64", "cache": "warm", "cto": "1ms", "n": "200", "seed": "1"}, 1},
+		{"bw-rd-iommu", map[string]string{"system": "NFP6000-BDW", "bench": "bw_rd", "iommu": "true", "window": "16M", "transfer": "64", "n": "500", "seed": "1"}, 1},
+		{"ber-workload", map[string]string{"bench": "workload", "ber": "1e-5", "sizes": "1500", "n": "300", "seed": "1"}, 1},
+		{"split-local", map[string]string{"system": "NFP6000-BDW", "bench": "workload", "endpoints": "4", "socket": "split", "buffers": "local", "nojitter": "true", "n": "200", "seed": "1"}, 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := Single(tc.kv, tc.simWorkers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Result == nil || d.Fabric == nil {
+				t.Fatalf("detail kept no result or fabric: %+v", d)
+			}
+			for _, sw := range d.Fabric.Switches {
+				if _, ok := sw.WaitSummary(true); !ok {
+					t.Error("single run left switch wait sampling off")
+				}
+			}
+			// simWorkers reaches the fabric: the split shape builds
+			// islands.
+			if n := len(d.Fabric.Kernels); tc.simWorkers > 1 && n < 2 {
+				t.Errorf("fabric at simworkers=%d built %d island(s), want several", tc.simWorkers, n)
+			}
+			base := cloneMap(tc.kv)
+			delete(base, "bench")
+			s := &Spec{Name: "single", Axes: []Axis{StrAxis("bench", tc.kv["bench"])}, Base: base, SeedMode: SeedFixed}
+			res, _, err := (&Engine{Workers: 1, SimWorkers: tc.simWorkers}).Run(context.Background(), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(d.Meas)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(res.Cells[0].Meas[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("single run measured\n%s\nthe engine cell\n%s", got, want)
+			}
+		})
 	}
 }

@@ -107,25 +107,25 @@ func TestParseDuration(t *testing.T) {
 		"250":   250000, // bare numbers are nanoseconds
 	}
 	for in, want := range cases {
-		got, err := ParseDuration(in)
+		got, err := parseDuration(in)
 		if err != nil || int64(got) != want {
-			t.Errorf("ParseDuration(%q) = %d, %v; want %d", in, got, err, want)
+			t.Errorf("parseDuration(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
 	for _, bad := range []string{"", "fast", "-3us", "1h"} {
-		if _, err := ParseDuration(bad); err == nil {
-			t.Errorf("ParseDuration(%q) accepted", bad)
+		if _, err := parseDuration(bad); err == nil {
+			t.Errorf("parseDuration(%q) accepted", bad)
 		}
 	}
 }
 
 func TestParseBER(t *testing.T) {
-	if b, err := ParseBER(" 1e-6 "); err != nil || b != 1e-6 {
-		t.Errorf("ParseBER(1e-6) = %v, %v", b, err)
+	if b, err := parseBER(" 1e-6 "); err != nil || b != 1e-6 {
+		t.Errorf("parseBER(1e-6) = %v, %v", b, err)
 	}
 	for _, bad := range []string{"", "x", "-1e-9", "1", "1.5"} {
-		if _, err := ParseBER(bad); err == nil {
-			t.Errorf("ParseBER(%q) accepted", bad)
+		if _, err := parseBER(bad); err == nil {
+			t.Errorf("parseBER(%q) accepted", bad)
 		}
 	}
 }

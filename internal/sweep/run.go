@@ -215,7 +215,7 @@ func (s *Spec) runCell(c Cell, q Quality, simWorkers int) (CellResult, error) {
 		if memoable && memo != nil {
 			m = *memo
 		} else {
-			m, err = measure(cfg, shared, wantCDF, simWorkers)
+			m, err = measure(cfg, shared, wantCDF, simWorkers, nil)
 			if err != nil {
 				return res, fmt.Errorf("sweep: %s cell %d probe %d: %w", s.Name, c.Index, pi, err)
 			}
@@ -238,7 +238,7 @@ func (s *Spec) runCell(c Cell, q Quality, simWorkers int) (CellResult, error) {
 				if pcfg.Params.Transactions == 0 {
 					pcfg.Params.Transactions = q.Transactions(pcfg.Bench, metric)
 				}
-				pm, err = measure(pcfg, nil, wantCDF, simWorkers)
+				pm, err = measure(pcfg, nil, wantCDF, simWorkers, nil)
 				if err != nil {
 					return res, fmt.Errorf("sweep: %s cell %d probe %d contrast: %w", s.Name, c.Index, pi, err)
 				}
@@ -270,12 +270,54 @@ func buildInstance(cfg Config) (*sysconf.Instance, error) {
 	return sys.Build(cfg.Opt)
 }
 
+// Detail is one run's outcome in full: what a single run prints
+// beyond its Measurement.
+type Detail struct {
+	// Config is the resolved configuration the run executed.
+	Config Config
+	// Meas is what an engine cell measures for the same assignment.
+	Meas Measurement
+	// Result is the benchmark's own result: a *bench.LatencyResult,
+	// *bench.BandwidthResult, *workload.Result, *workload.MultiResult
+	// or *topo.P2PResult.
+	Result any
+	// Fabric is the fabric the run simulated (a single-endpoint
+	// instance's own fabric included).
+	Fabric *topo.Fabric
+}
+
+// keep records a run's result and fabric; a nil Detail, as every
+// engine cell passes, keeps nothing.
+func (d *Detail) keep(res any, fab *topo.Fabric) {
+	if d != nil {
+		d.Result, d.Fabric = res, fab
+	}
+}
+
+// Single resolves one cell assignment and measures it through the code
+// an engine cell runs, returning the run in full. Unlike an engine
+// cell it resolves no grid, mixes no seed and takes n as given: n=0
+// fails rather than resolving from a quality level. Switches sample
+// their arbitration waits, which never changes a result.
+func Single(kv map[string]string, simWorkers int) (*Detail, error) {
+	cfg, err := resolveRunnable(kv)
+	if err != nil {
+		return nil, err
+	}
+	d := &Detail{Config: cfg}
+	if d.Meas, err = measure(cfg, nil, false, simWorkers, d); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
 // measure runs one benchmark. A non-nil shared instance is reused
 // (probe order is then the simulation order); otherwise the probe
-// builds its own fresh instance, like the paper's per-point runs.
-func measure(cfg Config, shared *sysconf.Instance, wantCDF bool, simWorkers int) (Measurement, error) {
+// builds its own fresh instance, like the paper's per-point runs. A
+// non-nil d receives the run's result and fabric.
+func measure(cfg Config, shared *sysconf.Instance, wantCDF bool, simWorkers int, d *Detail) (Measurement, error) {
 	if shared == nil && cfg.usesFabric() {
-		return measureFabric(cfg, simWorkers)
+		return measureFabric(cfg, simWorkers, d)
 	}
 	inst := shared
 	if inst == nil {
@@ -285,7 +327,7 @@ func measure(cfg Config, shared *sysconf.Instance, wantCDF bool, simWorkers int)
 			return Measurement{}, err
 		}
 	}
-	m, err := measureInstance(inst, cfg, wantCDF)
+	m, err := measureInstance(inst, cfg, wantCDF, d)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -295,12 +337,12 @@ func measure(cfg Config, shared *sysconf.Instance, wantCDF bool, simWorkers int)
 
 // measureInstance runs the single-endpoint benchmark kinds against an
 // assembled instance.
-func measureInstance(inst *sysconf.Instance, cfg Config, wantCDF bool) (Measurement, error) {
+func measureInstance(inst *sysconf.Instance, cfg Config, wantCDF bool, d *Detail) (Measurement, error) {
 	if cfg.Bench == BenchLoopback {
 		return measureLoopback(inst, cfg)
 	}
 	if cfg.Bench == BenchWorkload {
-		return measureWorkload(inst, cfg)
+		return measureWorkload(inst, cfg, d)
 	}
 
 	tgt := inst.Target()
@@ -314,6 +356,7 @@ func measureInstance(inst *sysconf.Instance, cfg Config, wantCDF bool) (Measurem
 		if err != nil {
 			return Measurement{}, err
 		}
+		d.keep(out, inst.Fabric)
 		m := Measurement{Median: out.Summary.Median, Summary: out.Summary}
 		if wantCDF {
 			cdf, err := out.CDF()
@@ -335,6 +378,7 @@ func measureInstance(inst *sysconf.Instance, cfg Config, wantCDF bool) (Measurem
 		if err != nil {
 			return Measurement{}, err
 		}
+		d.keep(out, inst.Fabric)
 		return Measurement{Gbps: out.Gbps}, nil
 	}
 }
@@ -344,7 +388,7 @@ func measureInstance(inst *sysconf.Instance, cfg Config, wantCDF bool) (Measurem
 // the cell's seed drives the workload randomness, and the measurement
 // carries aggregate and per-queue packet rates plus the
 // completion-latency percentiles.
-func measureWorkload(inst *sysconf.Instance, cfg Config) (Measurement, error) {
+func measureWorkload(inst *sysconf.Instance, cfg Config, d *Detail) (Measurement, error) {
 	wl := cfg.Workload
 	wl.Seed = cfg.Opt.Seed
 	inst.Buffer.WarmHost(0, wl.Footprint())
@@ -352,6 +396,7 @@ func measureWorkload(inst *sysconf.Instance, cfg Config) (Measurement, error) {
 	if err != nil {
 		return Measurement{}, err
 	}
+	d.keep(res, inst.Fabric)
 	m := Measurement{
 		Median:      res.Latency.Median,
 		Gbps:        res.GbpsPerDirection,
@@ -369,8 +414,10 @@ func measureWorkload(inst *sysconf.Instance, cfg Config) (Measurement, error) {
 // transfer benchmark, or the traffic engine on every endpoint at once.
 // simWorkers > 1 asks the workload path for a partitioned fabric
 // (results stay byte-identical; see internal/topo); the p2p
-// benchmark couples its endpoints and always builds serially.
-func measureFabric(cfg Config, simWorkers int) (Measurement, error) {
+// benchmark couples its endpoints and always builds serially. A
+// non-nil d also turns on the switches' wait sampling, which
+// allocates per TLP and so stays off in engine cells.
+func measureFabric(cfg Config, simWorkers int, d *Detail) (Measurement, error) {
 	sys, err := sysconf.ByName(cfg.System)
 	if err != nil {
 		return Measurement{}, err
@@ -382,11 +429,17 @@ func measureFabric(cfg Config, simWorkers int) (Measurement, error) {
 	if err != nil {
 		return Measurement{}, err
 	}
+	if d != nil {
+		for _, sw := range fab.Switches {
+			sw.EnableWaitSampling()
+		}
+	}
 	if cfg.Bench == BenchP2P {
 		res, err := topo.RunP2P(fab, cfg.P2P, cfg.Params.TransferSize, cfg.Params.Transactions)
 		if err != nil {
 			return Measurement{}, err
 		}
+		d.keep(res, fab)
 		return Measurement{
 			Median:  res.Latency.Median,
 			Gbps:    res.Gbps,
@@ -400,6 +453,7 @@ func measureFabric(cfg Config, simWorkers int) (Measurement, error) {
 	if err != nil {
 		return Measurement{}, err
 	}
+	d.keep(res, fab)
 	m := Measurement{
 		Median:  res.Latency.Median,
 		Gbps:    res.GbpsPerDirection,

@@ -21,11 +21,12 @@
 // the CLIs and the HTTP serving layer (internal/serve): documents
 // carry a "version" field (SpecVersion; legacy version-less documents
 // read as version 1), unknown fields are rejected with errors naming
-// the valid keys, and every run path — pcie-repro and its ablations,
+// the valid keys, and every grid — pcie-repro and its ablations,
 // pcie-bench -run/-spec/-suite, pcie-served — executes through the
 // same Engine, which dedups cells against a content-addressed result
 // cache (internal/cache) keyed by canonical cell spec + seed + build
-// version.
+// version. A pcie-bench single run is one cell, measured by Single
+// through the same code.
 package sweep
 
 import (
@@ -277,7 +278,7 @@ func (c Cell) Get(key string) string { return c.KV[key] }
 // allowed); 0 when absent or unparsable (expansion validates values,
 // so figure-assembly callers need no error path).
 func (c Cell) Int(key string) int {
-	v, err := ParseSize(c.KV[key])
+	v, err := parseSize(c.KV[key])
 	if err != nil {
 		return 0
 	}
@@ -309,23 +310,32 @@ func (c *Config) usesFabric() bool {
 }
 
 // resolveRunnable resolves kv like resolveConfig and also rejects a
-// micro-benchmark configuration that could only fail once its cell
-// runs: a missing or oversized window, a bad transfer or offset, a
-// negative count. The window is checked against the buffer the cell
-// will build; n=0 passes, since the run resolves it from the quality
-// level. Only validation calls it: a shared instance is built from the
-// bare cell, which need not name a transfer.
+// configuration that could only fail once its cell runs: a negative
+// count on any kind, a p2p or loopback cell without a transfer, and a
+// micro-benchmark with a missing or oversized window or a bad transfer
+// or offset. The window is checked against the buffer the cell will
+// build; n=0 passes, since the run resolves it from the quality level.
+// Only validation and single runs call it: a shared instance is built
+// from the bare cell, which need not name a transfer.
 func resolveRunnable(kv map[string]string) (Config, error) {
 	cfg, err := resolveConfig(kv)
 	if err != nil {
 		return cfg, err
 	}
+	p := cfg.Params
+	if p.Transactions < 0 {
+		return cfg, fmt.Errorf("sweep: n=%d must not be negative", p.Transactions)
+	}
 	switch cfg.Bench {
 	case BenchLatRd, BenchLatWrRd, BenchBwRd, BenchBwWr, BenchBwRdWr:
+	case BenchP2P, BenchLoopback:
+		if p.TransferSize < 1 {
+			return cfg, fmt.Errorf("sweep: bench %s needs transfer >= 1, got %d", cfg.Bench, p.TransferSize)
+		}
+		return cfg, nil
 	default:
 		return cfg, nil
 	}
-	p := cfg.Params
 	if p.Transactions == 0 {
 		p.Transactions = 1
 	}
@@ -336,9 +346,9 @@ func resolveRunnable(kv map[string]string) (Config, error) {
 	return cfg, p.Validate(buf)
 }
 
-// ParseSize parses an integer with an optional K/M/G binary suffix
+// parseSize parses an integer with an optional K/M/G binary suffix
 // ("8K" -> 8192).
-func ParseSize(s string) (int, error) {
+func parseSize(s string) (int, error) {
 	s = strings.TrimSpace(strings.ToUpper(s))
 	mult := 1
 	switch {
@@ -356,10 +366,10 @@ func ParseSize(s string) (int, error) {
 	return v * mult, nil
 }
 
-// ParseDuration parses a simulated duration: a decimal number with an
-// optional ps/ns/us/ms/s suffix (a bare number means nanoseconds).
-// Used by the fault keys (cto=, retrain=) and the CLI fault flags.
-func ParseDuration(s string) (sim.Time, error) {
+// parseDuration parses a simulated duration for the fault keys (cto=,
+// retrain=): a decimal number with an optional ps/ns/us/ms/s suffix (a
+// bare number means nanoseconds).
+func parseDuration(s string) (sim.Time, error) {
 	t := strings.TrimSpace(s)
 	unit := sim.Nanosecond
 	switch {
@@ -381,9 +391,9 @@ func ParseDuration(s string) (sim.Time, error) {
 	return sim.Time(v * float64(unit)), nil
 }
 
-// ParseBER parses a link bit error rate: a float in [0, 1). Used by
-// the ber= fault key and the CLI fault flags.
-func ParseBER(s string) (float64, error) {
+// parseBER parses the ber= fault key's link bit error rate: a float in
+// [0, 1).
+func parseBER(s string) (float64, error) {
 	b, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 	if err != nil || b < 0 || b >= 1 {
 		return 0, fmt.Errorf("sweep: bit error rate %q outside [0, 1)", s)
@@ -391,12 +401,14 @@ func ParseBER(s string) (float64, error) {
 	return b, nil
 }
 
-// parsePositive parses a count that must be at least 1 (endpoints,
-// walkers, dmainflight): zero would silently select a default.
-func parsePositive(s string) (int, error) {
-	n, err := ParseSize(s)
-	if err == nil && n < 1 {
-		err = fmt.Errorf("sweep: count %d must be at least 1", n)
+// parseCount parses a count that must be at least least. Counts whose
+// zero would silently select a default (endpoints, walkers,
+// dmainflight, queues, flows, inflight) take 1; the batch overrides,
+// whose 0 keeps the design's value, take 0.
+func parseCount(s string, least int) (int, error) {
+	n, err := parseSize(s)
+	if err == nil && n < least {
+		err = fmt.Errorf("sweep: count %d must be at least %d", n, least)
 	}
 	return n, err
 }
@@ -553,15 +565,15 @@ func resolveConfig(kv map[string]string) (Config, error) {
 				err = fmt.Errorf("unknown benchmark %q", v)
 			}
 		case "window":
-			cfg.Params.WindowSize, err = ParseSize(v)
+			cfg.Params.WindowSize, err = parseSize(v)
 		case "transfer":
-			cfg.Params.TransferSize, err = ParseSize(v)
+			cfg.Params.TransferSize, err = parseSize(v)
 		case "offset":
-			cfg.Params.Offset, err = ParseSize(v)
+			cfg.Params.Offset, err = parseSize(v)
 		case "n":
-			cfg.Params.Transactions, err = ParseSize(v)
+			cfg.Params.Transactions, err = parseSize(v)
 		case "warmup":
-			cfg.Params.Warmup, err = ParseSize(v)
+			cfg.Params.Warmup, err = parseSize(v)
 		case "pattern":
 			switch strings.ToLower(v) {
 			case "rand":
@@ -585,66 +597,66 @@ func resolveConfig(kv map[string]string) (Config, error) {
 		case "direct":
 			cfg.Params.Direct, err = parseBool(v)
 		case "node":
-			cfg.Opt.BufferNode, err = ParseSize(v)
+			cfg.Opt.BufferNode, err = parseSize(v)
 		case "iommu":
 			cfg.Opt.IOMMU, err = parseBool(v)
 		case "iommuscope":
 			cfg.Opt.IOMMUScope, err = topo.ParseIOMMUScope(v)
 		case "walkers":
-			cfg.Opt.IOMMUWalkers, err = parsePositive(v)
+			cfg.Opt.IOMMUWalkers, err = parseCount(v, 1)
 		case "dmainflight":
-			cfg.Opt.MaxInFlight, err = parsePositive(v)
+			cfg.Opt.MaxInFlight, err = parseCount(v, 1)
 		case "sp":
 			cfg.Opt.SuperPages, err = parseBool(v)
 		case "nojitter":
 			cfg.Opt.NoJitter, err = parseBool(v)
 		case "ber":
 			var b float64
-			if b, err = ParseBER(v); err == nil && b > 0 {
+			if b, err = parseBER(v); err == nil && b > 0 {
 				ensureFaults().BER = b
 			}
 		case "cto":
 			var d sim.Time
-			if d, err = ParseDuration(v); err == nil && d > 0 {
+			if d, err = parseDuration(v); err == nil && d > 0 {
 				ensureFaults().CTO = d
 			}
 		case "retrain":
 			var d sim.Time
-			if d, err = ParseDuration(v); err == nil && d > 0 {
+			if d, err = parseDuration(v); err == nil && d > 0 {
 				ensureFaults().RetrainMTBF = d
 			}
 		case "buffer":
-			cfg.Opt.BufferSize, err = ParseSize(v)
+			cfg.Opt.BufferSize, err = parseSize(v)
 		case "seed":
 			var n int
-			n, err = ParseSize(v)
+			n, err = parseSize(v)
 			cfg.Opt.Seed = int64(n)
 		case "gen":
 			var n int
-			if n, err = ParseSize(v); err == nil {
+			if n, err = parseSize(v); err == nil {
 				ensureLink().Gen = pcie.Generation(n)
 			}
 		case "lanes":
 			var n int
-			if n, err = ParseSize(v); err == nil {
+			if n, err = parseSize(v); err == nil {
 				ensureLink().Lanes = n
 			}
 		case "mps":
 			var n int
-			if n, err = ParseSize(v); err == nil {
+			if n, err = parseSize(v); err == nil {
 				ensureLink().MPS = n
 			}
 		case "mrrs":
 			var n int
-			if n, err = ParseSize(v); err == nil {
+			if n, err = parseSize(v); err == nil {
 				ensureLink().MRRS = n
 			}
 		case "queues":
-			cfg.Workload.Queues, err = ParseSize(v)
+			cfg.Workload.Queues, err = parseCount(v, 1)
 		case "flows":
-			cfg.Workload.Flows, err = ParseSize(v)
+			cfg.Workload.Flows, err = parseCount(v, 1)
 		case "inflight":
-			cfg.Workload.Window, err = ParseSize(v)
+			cfg.Workload.Window, err = parseCount(v, 1)
 		case "sizes":
 			cfg.Workload.Sizes, err = workload.ParseSizeDist(v)
 		case "arrival":
@@ -652,20 +664,22 @@ func resolveConfig(kv map[string]string) (Config, error) {
 		case "nic":
 			cfg.Workload.Design, err = workload.DesignByName(strings.ToLower(v))
 		case "doorbell":
-			cfg.Workload.Moderation.DoorbellBatch, err = ParseSize(v)
+			cfg.Workload.Moderation.DoorbellBatch, err = parseCount(v, 0)
 		case "descbatch":
-			cfg.Workload.Moderation.DescBatch, err = ParseSize(v)
+			cfg.Workload.Moderation.DescBatch, err = parseCount(v, 0)
 		case "wbbatch":
-			cfg.Workload.Moderation.WriteBackBatch, err = ParseSize(v)
+			cfg.Workload.Moderation.WriteBackBatch, err = parseCount(v, 0)
 		case "intrmod":
-			// "poll" strips interrupts and register reads entirely.
+			// "poll" strips interrupts and register reads entirely; a
+			// packet count must be at least 1, since 0 and negative
+			// values would silently keep the design's rate or poll.
 			if strings.ToLower(v) == "poll" {
 				cfg.Workload.Moderation.IntrEvery = -1
-			} else {
-				cfg.Workload.Moderation.IntrEvery, err = ParseSize(v)
+			} else if cfg.Workload.Moderation.IntrEvery, err = parseCount(v, 1); err != nil {
+				err = fmt.Errorf("want a packet count or poll: %w", err)
 			}
 		case "endpoints":
-			cfg.Shape.Endpoints, err = parsePositive(v)
+			cfg.Shape.Endpoints, err = parseCount(v, 1)
 		case "switch":
 			cfg.Shape.Switch, err = topo.ParseSwitch(v)
 		case "socket":

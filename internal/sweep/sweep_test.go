@@ -27,9 +27,9 @@ func TestParseSize(t *testing.T) {
 		{"4KB", 0, false},
 	}
 	for _, c := range cases {
-		got, err := ParseSize(c.in)
+		got, err := parseSize(c.in)
 		if c.ok != (err == nil) || got != c.want {
-			t.Errorf("ParseSize(%q) = %d, %v; want %d ok=%v", c.in, got, err, c.want, c.ok)
+			t.Errorf("parseSize(%q) = %d, %v; want %d ok=%v", c.in, got, err, c.want, c.ok)
 		}
 	}
 }
@@ -98,6 +98,17 @@ func TestResolveConfigErrors(t *testing.T) {
 		{"walkers": "-1"},
 		{"dmainflight": "0"},
 		{"dmainflight": "-1"},
+		// Workload counts out of range would silently run the poll
+		// mode, the design's moderation or a default.
+		{"bench": "workload", "intrmod": "0"},
+		{"bench": "workload", "intrmod": "-7"},
+		{"bench": "workload", "queues": "-3"},
+		{"bench": "workload", "queues": "0"},
+		{"bench": "workload", "flows": "0"},
+		{"bench": "workload", "inflight": "-1"},
+		{"bench": "workload", "doorbell": "-4"},
+		{"bench": "workload", "descbatch": "-1"},
+		{"bench": "workload", "wbbatch": "-2"},
 	} {
 		if _, err := resolveConfig(kv); err == nil {
 			t.Errorf("resolveConfig(%v) accepted", kv)
@@ -212,6 +223,28 @@ func TestValidateErrors(t *testing.T) {
 		func(s *Spec) { delete(s.Base, "window") },
 		func(s *Spec) { s.Base["offset"] = "64" },
 		func(s *Spec) { s.Base["n"] = "-1" },
+		// Workload, p2p and loopback cells that could only fail mid-run:
+		// a negative n (even after a valid cell), no transfer to move.
+		func(s *Spec) {
+			s.Axes = []Axis{IntAxis("n", 100, -5)}
+			s.Base = map[string]string{"bench": "p2p", "transfer": "256"}
+		},
+		func(s *Spec) {
+			s.Axes = []Axis{IntAxis("n", -5)}
+			s.Base = map[string]string{"bench": "workload"}
+		},
+		func(s *Spec) {
+			s.Axes = []Axis{IntAxis("n", -3)}
+			s.Base = map[string]string{"bench": "loopback", "transfer": "64"}
+		},
+		func(s *Spec) {
+			s.Axes = []Axis{IntAxis("transfer", 0)}
+			s.Base = map[string]string{"bench": "loopback", "n": "100"}
+		},
+		func(s *Spec) {
+			s.Axes = []Axis{IntAxis("n", 100)}
+			s.Base = map[string]string{"bench": "p2p"}
+		},
 	}
 	for i, mutate := range cases {
 		s := testSpec()
@@ -228,6 +261,12 @@ func TestValidateErrors(t *testing.T) {
 	delete(s.Base, "n")
 	if err := s.Validate(); err != nil {
 		t.Fatalf("spec without n rejected: %v", err)
+	}
+	for _, kind := range []string{BenchP2P, BenchLoopback} {
+		s := &Spec{Name: "t", Axes: []Axis{IntAxis("transfer", 64)}, Base: map[string]string{"bench": kind}}
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s spec without n rejected: %v", kind, err)
+		}
 	}
 }
 
