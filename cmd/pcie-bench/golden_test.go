@@ -33,7 +33,7 @@ var singleRunCases = []struct {
 	{"wl-switch-on", []string{"-bench", "workload", "-endpoints", "3", "-switch", "on", "-sizes", "512", "-n", "200"}},
 	{"wl-switch-faults", []string{"-system", "NFP6000-BDW", "-bench", "workload", "-endpoints", "2", "-switch", "gen3x8", "-nojitter", "-ber", "1e-5", "-retrain", "100us", "-n", "300"}},
 	{"wl-split-iommu", []string{"-system", "NFP6000-BDW", "-bench", "workload", "-endpoints", "4", "-socket", "split", "-local-buffers", "-iommu", "-iommu-scope", "per-socket", "-nojitter", "-n", "200"}},
-	{"wl-openloop-faults-par", []string{"-system", "NFP6000-BDW", "-bench", "workload", "-endpoints", "4", "-socket", "split", "-local-buffers", "-sizes", "imix", "-arrival", "poisson:2M:burst=4", "-ber", "1e-6", "-retrain", "50us", "-sim-parallel", "4", "-n", "200"}},
+	{"wl-openloop-faults-par", []string{"-system", "NFP6000-BDW", "-bench", "workload", "-endpoints", "4", "-socket", "split", "-local-buffers", "-sizes", "imix", "-arrival", "poisson:2M:burst=4", "-ber", "1e-6", "-retrain", "50us", "-n", "200"}},
 	{"p2p-direct", []string{"-bench", "p2p", "-transfer", "256", "-n", "100"}},
 	{"p2p-bounce", []string{"-bench", "p2p", "-p2p", "bounce", "-transfer", "1024", "-n", "100"}},
 	{"p2p-split", []string{"-system", "NFP6000-BDW", "-bench", "p2p", "-socket", "split", "-transfer", "512", "-n", "100"}},

@@ -2,7 +2,10 @@
 // against a simulated system from the paper's Table 1, mirroring the
 // control programs of paper §5.4, and exposes the declarative sweep
 // engine for whole parameter grids. A single run is a one-cell sweep:
-// each flag sets a sweep cell key (see cellKeys).
+// each flag sets a sweep cell key (see cellKeys). Grids run their cells
+// on GOMAXPROCS workers, and a multi-endpoint workload fabric runs its
+// islands on up to as many goroutines; output is byte-identical at
+// every core count (GOMAXPROCS=N limits the CPUs used).
 //
 // Examples:
 //
@@ -12,7 +15,7 @@
 //	pcie-bench -system NFP6000-HSW-E3 -bench lat_rd -n 100000 -cdf
 //	pcie-bench -system NFP6000-HSW -bench bw_rdwr -json
 //	pcie-bench -bench workload -queues 4 -sizes imix -arrival poisson:4M:burst=64
-//	pcie-bench -suite -parallel 8
+//	pcie-bench -suite
 //	pcie-bench -sweeps
 //	pcie-bench -run fig9 transfer=64 mps=512
 //	pcie-bench -spec my-grid.json -format json
@@ -32,7 +35,6 @@ import (
 
 	"pciebench/internal/bench"
 	"pciebench/internal/fault"
-	"pciebench/internal/pcie"
 	_ "pciebench/internal/report" // registers the paper-figure sweeps
 	"pciebench/internal/stats"
 	"pciebench/internal/sweep"
@@ -78,7 +80,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file when the run finishes")
 		list       = fs.Bool("list", false, "list systems and exit")
-		listSys    = fs.Bool("list-systems", false, "list the Table-1 systems (name, CPU, adapter, link) and exit")
 		system     = fs.String("system", "NFP6000-HSW", "system under test (see -list)")
 		benchSel   = fs.String("bench", "lat_rd", "lat_rd|lat_wrrd|bw_rd|bw_wr|bw_rdwr|workload|p2p")
 		iommuOn    = fs.Bool("iommu", false, "enable the IOMMU (4KB mappings)")
@@ -88,7 +89,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cdf        = fs.Bool("cdf", false, "print the latency CDF (latency benches)")
 		jsonOut    = fs.Bool("json", false, "print the benchmark result as JSON")
 		suite      = fs.Bool("suite", false, "run the full ~2000-test matrix (paper §5.4) and print a TSV report")
-		parallel   = fs.Int("parallel", 0, "suite/sweep worker count (0 = GOMAXPROCS); the report is identical for any value")
 		sweeps     = fs.Bool("sweeps", false, "list registered sweeps and exit")
 		runName    = fs.String("run", "", "run one registered sweep; remaining args override axes (e.g. gen=4,5 lanes=16)")
 		specPath   = fs.String("spec", "", "run a custom sweep from a JSON spec file; remaining args override axes")
@@ -96,7 +96,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		full       = fs.Bool("full", false, "paper-scale sample counts for sweeps (slower)")
 		cacheDir   = fs.String("cache-dir", "", "dedup sweep cells against an on-disk result cache in this directory")
 		nicSel     = fs.String("nic", "kernel", "workload: NIC/driver design (simple|kernel|dpdk)")
-		simPar     = fs.Int("sim-parallel", 1, "simulation workers "+sweep.SimWorkersRange()+" for partitionable multi-endpoint fabrics (1 = serial; results are byte-identical for any value)")
 	)
 	// The remaining single-run flags reach the run only through
 	// cellKeys.
@@ -131,9 +130,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.String("cto", "", "fault injection: DMA read completion timeout, e.g. 10us (empty = off)")
 	fs.String("retrain", "", "fault injection: mean time between link retrain events, e.g. 1ms (empty = off)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := sweep.ValidateSimWorkers(*simPar); err != nil {
 		return err
 	}
 
@@ -172,18 +168,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	if *listSys {
-		// Every Table-1 system negotiated the paper's Gen3 x8 link; the
-		// column shows that default (overridable per run with
-		// -run/-spec gen/lanes axes or sysconf.Options.Link).
-		link := pcie.DefaultGen3x8()
-		fmt.Fprintf(stdout, "%-16s %-28s %-16s %s\n", "SYSTEM", "CPU", "ADAPTER", "LINK (default)")
-		for _, s := range sysconf.Systems() {
-			fmt.Fprintf(stdout, "%-16s %-28s %-16s %s\n", s.Name, s.CPU, s.Adapter, link)
-		}
-		return nil
-	}
-
 	q := sweep.Quick
 	if *full {
 		q = sweep.Full
@@ -191,14 +175,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cli := &sweep.CLI{
 		List: *sweeps, RunName: *runName, SpecPath: *specPath,
 		Overrides: fs.Args(), Format: *format,
-		Workers: *parallel, SimWorkers: *simPar, Quality: q, CacheDir: *cacheDir,
+		Quality: q, CacheDir: *cacheDir,
 	}
 	if cli.Active() {
 		return cli.Execute(context.Background(), stdout, stderr)
 	}
 
 	if *suite {
-		return runSuite(context.Background(), suiteSpec(*system, *iommuOn, *iommuScope, *sp, *seed), *parallel, stdout, stderr)
+		return runSuite(context.Background(), suiteSpec(*system, *iommuOn, *iommuScope, *sp, *seed), stdout, stderr)
 	}
 
 	if strings.EqualFold(*benchSel, sweep.BenchLoopback) {
@@ -226,7 +210,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		kv[key] = v
 	})
-	d, err := sweep.Single(kv, *simPar)
+	d, err := sweep.Single(kv)
 	if err != nil {
 		return err
 	}

@@ -40,12 +40,12 @@ func suiteSpec(system string, iommu bool, iommuScope string, superPages bool, se
 	}
 }
 
-// runSuite executes a suite spec on the sweep engine with a done/total
-// meter on stderr, then writes the TSV report to stdout: one row per
-// cell in enumeration order, latency benchmarks filling median_ns and
-// bandwidth benchmarks gbps.
-func runSuite(ctx context.Context, s *sweep.Spec, workers int, stdout, stderr io.Writer) error {
-	e := &sweep.Engine{Workers: workers, Progress: func(done, total int) {
+// runSuite executes a suite spec on a GOMAXPROCS-wide sweep engine
+// with a done/total meter on stderr, then writes the TSV report to
+// stdout: one row per cell in enumeration order, latency benchmarks
+// filling median_ns and bandwidth benchmarks gbps.
+func runSuite(ctx context.Context, s *sweep.Spec, stdout, stderr io.Writer) error {
+	e := &sweep.Engine{Progress: func(done, total int) {
 		if done%100 == 0 || done == total {
 			fmt.Fprintf(stderr, "\r%d/%d", done, total)
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -26,9 +27,12 @@ func smallSuite(seed int64) *sweep.Spec {
 	return s
 }
 
+// runSmallSuite runs a suite at GOMAXPROCS workers, the engine's pool
+// size.
 func runSmallSuite(ctx context.Context, s *sweep.Spec, workers int) (stdout, stderr string, err error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	var out, errOut bytes.Buffer
-	err = runSuite(ctx, s, workers, &out, &errOut)
+	err = runSuite(ctx, s, &out, &errOut)
 	return out.String(), errOut.String(), err
 }
 

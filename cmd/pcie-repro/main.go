@@ -9,14 +9,16 @@
 //	pcie-repro                      # quick run into ./repro-out
 //	pcie-repro -full -out dir       # paper-scale sample counts
 //	pcie-repro -only fig9           # a single experiment
-//	pcie-repro -parallel 8          # sweep worker count (default GOMAXPROCS)
 //	pcie-repro -list                # registered sweeps
 //	pcie-repro -run fig4 gen=4,5    # a registered sweep with axis overrides
 //	pcie-repro -spec my.json -format csv  # a fully custom grid from JSON
 //
-// Experiment points run on the internal/runner worker pool; results are
-// collected in submission order, so the generated files are
-// byte-identical for every -parallel value.
+// Experiment points run on a GOMAXPROCS-wide worker pool, and a
+// multi-endpoint fabric cell runs its islands on up to as many
+// goroutines; results are collected in submission order, so the
+// generated files are byte-identical at every core count
+// (GOMAXPROCS=N limits the CPUs used). Each figure is measured once
+// per run: Table 2 and the paper-versus-measured summary reuse it.
 package main
 
 import (
@@ -55,8 +57,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		out      = fs.String("out", "repro-out", "output directory for TSV series")
 		full     = fs.Bool("full", false, "paper-scale sample counts (slower)")
 		only     = fs.String("only", "", "run a single experiment (fig1..fig9, table1, table2)")
-		parallel = fs.Int("parallel", 0, "experiment worker count (0 = GOMAXPROCS); output is identical for any value")
-		simPar   = fs.Int("sim-parallel", 1, "simulation workers "+sweep.SimWorkersRange()+" for partitionable multi-endpoint fabric cells (1 = serial; output is identical for any value)")
 		list     = fs.Bool("list", false, "list registered sweeps and exit")
 		runName  = fs.String("run", "", "run one registered sweep; remaining args override axes (e.g. gen=4,5 lanes=16)")
 		specPath = fs.String("spec", "", "run a custom sweep from a JSON spec file; remaining args override axes")
@@ -69,21 +69,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := sweep.ValidateSimWorkers(*simPar); err != nil {
-		return err
-	}
 	faultOverrides := faultArgs(*ber, *cto, *retrain)
 
 	q := report.Quick
 	if *full {
 		q = report.Full
 	}
-	report.SetParallelism(*parallel)
-
 	cli := &sweep.CLI{
 		List: *list, RunName: *runName, SpecPath: *specPath,
 		Overrides: append(fs.Args(), faultOverrides...), Format: *format,
-		Workers: *parallel, SimWorkers: *simPar, Quality: q, CacheDir: *cacheDir,
+		Quality: q, CacheDir: *cacheDir,
 	}
 	if cli.Active() {
 		return cli.Execute(context.Background(), stdout, stderr)
@@ -124,11 +119,11 @@ func reproduce(dir, only string, q report.Quality, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "  wrote %s\n", path)
 		return nil
 	}
-	writeFigs := func(figs []*report.Figure, err error) error {
+	writeFigs := func(parts []*report.Figure, err error) error {
 		if err != nil {
 			return err
 		}
-		for _, f := range figs {
+		for _, f := range parts {
 			if err := writeFig(f); err != nil {
 				return err
 			}
@@ -149,17 +144,18 @@ func reproduce(dir, only string, q report.Quality, stdout io.Writer) error {
 		return os.WriteFile(filepath.Join(dir, name+".tsv"), []byte(t.TSV()), 0o644)
 	}
 
+	figs := report.NewFigures(q)
 	experiments := []experiment{
 		{"table1", func() error { return writeTable("table1", report.Table1(), nil) }},
 		{"fig1", func() error { return writeFig(report.Fig1()) }},
-		{"fig2", func() error { fig, err := report.Fig2(q); return writeFigErr(fig, err) }},
-		{"fig4", func() error { figs, err := report.Fig4(q); return writeFigs(figs, err) }},
-		{"fig5", func() error { fig, err := report.Fig5(q); return writeFigErr(fig, err) }},
-		{"fig6", func() error { fig, err := report.Fig6(q); return writeFigErr(fig, err) }},
-		{"fig7", func() error { figs, err := report.Fig7(q); return writeFigs(figs, err) }},
-		{"fig8", func() error { fig, err := report.Fig8(q); return writeFigErr(fig, err) }},
-		{"fig9", func() error { fig, err := report.Fig9(q); return writeFigErr(fig, err) }},
-		{"table2", func() error { t, err := report.Table2(q); return writeTable("table2", t, err) }},
+		{"fig2", func() error { return writeFigErr(figs.Fig2()) }},
+		{"fig4", func() error { return writeFigs(figs.Fig4()) }},
+		{"fig5", func() error { return writeFigErr(figs.Fig5()) }},
+		{"fig6", func() error { return writeFigErr(figs.Fig6()) }},
+		{"fig7", func() error { return writeFigs(figs.Fig7()) }},
+		{"fig8", func() error { return writeFigErr(figs.Fig8()) }},
+		{"fig9", func() error { return writeFigErr(figs.Fig9()) }},
+		{"table2", func() error { t, err := report.Table2(figs); return writeTable("table2", t, err) }},
 		{"ablations", func() error {
 			if err := writeFig(report.AblationMPS()); err != nil {
 				return err
@@ -178,7 +174,7 @@ func reproduce(dir, only string, q report.Quality, stdout io.Writer) error {
 			return nil
 		}},
 		{"expect", func() error {
-			t, err := report.Expectations(q)
+			t, err := report.Expectations(figs)
 			return writeTable("expectations", t, err)
 		}},
 	}

@@ -16,10 +16,10 @@ import (
 	"pciebench/internal/hostif"
 	"pciebench/internal/mem"
 	"pciebench/internal/model"
-	"pciebench/internal/nicsim"
 	"pciebench/internal/pcie"
 	"pciebench/internal/rc"
 	"pciebench/internal/sim"
+	"pciebench/internal/workload"
 )
 
 func main() {
@@ -100,12 +100,17 @@ func main() {
 		log.Fatal(err)
 	}
 	buf.WarmHost(0, 64<<10)
-	res, err := nicsim.Throughput(k, complex, winner, buf.DMAAddr(0), pktSz, 20000, 64)
+	// One queue of fixed-size packets, arriving as fast as the NIC
+	// can take them, with up to 64 packet pairs in flight.
+	res, err := workload.Run(k, complex, buf.DMAAddr(0), workload.Config{
+		Queues: 1, Window: 64, Design: winner,
+		Sizes: workload.FixedSize(pktSz), Arrival: workload.Saturate(),
+	}, 20000)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  simulated: %.2f Gb/s per direction (%.2fM pkt/s)\n",
-		res.GbpsPerDirection, res.PairsPerSec/1e6)
+		res.GbpsPerDirection, res.PPS/1e6)
 	if res.GbpsPerDirection >= target {
 		fmt.Println("  -> design holds up under simulation.")
 	} else {

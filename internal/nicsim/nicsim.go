@@ -1,30 +1,20 @@
-// Package nicsim runs NIC-level workloads over the simulated PCIe
-// subsystem.
+// Package nicsim runs the paper's NIC loopback workload over the
+// simulated PCIe subsystem.
 //
-// Two workloads mirror the paper:
-//
-//   - Loopback reproduces the §2 ExaNIC experiment behind Figure 2: a
-//     kernel-bypass application writes a frame to the NIC with PIO, the
-//     NIC loops it through its MAC back to an RX DMA into the host ring,
-//     and the application polls the ring. The run decomposes the total
-//     latency into its PCIe and non-PCIe parts exactly as the modified
-//     ExaNIC firmware did.
-//
-//   - Throughput drives the root complex with the per-packet transaction
-//     mix of a model.NIC design (descriptor fetches, write-backs,
-//     doorbells, interrupts, with their batching amortization) and
-//     measures the achieved full-duplex packet rate. It cross-validates
-//     the closed-form model of Figure 1 against the discrete-event
-//     simulator.
+// Loopback reproduces the §2 ExaNIC experiment behind Figure 2: a
+// kernel-bypass application writes a frame to the NIC with PIO, the
+// NIC loops it through its MAC back to an RX DMA into the host ring,
+// and the application polls the ring. The run decomposes the total
+// latency into its PCIe and non-PCIe parts exactly as the modified
+// ExaNIC firmware did. The per-packet transaction mix of a NIC design
+// (Figure 1) runs on the internal/workload traffic engine.
 package nicsim
 
 import (
 	"fmt"
 
-	"pciebench/internal/model"
 	"pciebench/internal/rc"
 	"pciebench/internal/sim"
-	"pciebench/internal/workload"
 )
 
 // LoopbackConfig shapes the ExaNIC-style loopback experiment.
@@ -191,42 +181,4 @@ func abs64(v int64) int64 {
 		return -v
 	}
 	return v
-}
-
-// ThroughputResult is the outcome of a NIC transaction-mix run.
-type ThroughputResult struct {
-	// GbpsPerDirection is the payload throughput per direction (the
-	// Figure 1 metric).
-	GbpsPerDirection float64
-	// PairsPerSec is the full-duplex packet rate.
-	PairsPerSec float64
-}
-
-// Throughput drives complex with the transaction mix of design for
-// the given packet size and packet-pair count, with up to window
-// concurrent read DMAs in flight, and measures the achieved rate. The
-// result should track design.Bandwidth (the closed-form Figure 1 curve)
-// closely; the report tests assert that.
-//
-// Throughput is the single-queue, fixed-size, saturating special case
-// of the internal/workload traffic engine; multi-queue, mixed-size and
-// open-loop scenarios run there.
-func Throughput(k *sim.Kernel, complex *rc.RootComplex, design model.NIC, bufDMA uint64, pktSz, pairs, window int) (ThroughputResult, error) {
-	if pktSz <= 0 || pairs <= 0 {
-		return ThroughputResult{}, fmt.Errorf("nicsim: bad params pkt=%d pairs=%d", pktSz, pairs)
-	}
-	res, err := workload.Run(k, complex, bufDMA, workload.Config{
-		Queues:  1,
-		Window:  window,
-		Design:  design,
-		Sizes:   workload.FixedSize(pktSz),
-		Arrival: workload.Saturate(),
-	}, pairs)
-	if err != nil {
-		return ThroughputResult{}, err
-	}
-	return ThroughputResult{
-		GbpsPerDirection: res.GbpsPerDirection,
-		PairsPerSec:      res.PPS,
-	}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"pciebench/internal/pcie"
 	"pciebench/internal/rc"
 	"pciebench/internal/sim"
+	"pciebench/internal/workload"
 )
 
 func buildStack(t *testing.T) (*sim.Kernel, *rc.RootComplex, *hostif.Buffer) {
@@ -124,6 +125,23 @@ func TestMedianLoopbackEmpty(t *testing.T) {
 	}
 }
 
+// throughput runs design's per-packet transaction mix on the workload
+// engine in the Figure 1 setting (one queue, fixed-size frames,
+// saturating arrivals) and returns the payload Gb/s per direction.
+func throughput(k *sim.Kernel, complex *rc.RootComplex, design model.NIC, bufDMA uint64, pktSz, pairs, window int) (float64, error) {
+	res, err := workload.Run(k, complex, bufDMA, workload.Config{
+		Queues:  1,
+		Window:  window,
+		Design:  design,
+		Sizes:   workload.FixedSize(pktSz),
+		Arrival: workload.Saturate(),
+	}, pairs)
+	if err != nil {
+		return 0, err
+	}
+	return res.GbpsPerDirection, nil
+}
+
 func TestThroughputMatchesAnalyticalModel(t *testing.T) {
 	// The event-driven run of each Fig 1 design should land within 15%
 	// of the closed-form model at large packet sizes (where link
@@ -132,15 +150,15 @@ func TestThroughputMatchesAnalyticalModel(t *testing.T) {
 	for _, design := range []model.NIC{model.SimpleNIC(), model.ModernNICKernel(), model.ModernNICDPDK()} {
 		for _, sz := range []int{512, 1024, 1500} {
 			k, complex, buf := buildStack(t)
-			res, err := Throughput(k, complex, design, buf.DMAAddr(0), sz, 3000, 64)
+			got, err := throughput(k, complex, design, buf.DMAAddr(0), sz, 3000, 64)
 			if err != nil {
 				t.Fatalf("%s/%d: %v", design.Name, sz, err)
 			}
 			want := design.Bandwidth(link, sz) / 1e9
-			rel := (res.GbpsPerDirection - want) / want
+			rel := (got - want) / want
 			if rel > 0.15 || rel < -0.15 {
 				t.Errorf("%s %dB: simulated %.2f vs model %.2f Gb/s (%.1f%%)",
-					design.Name, sz, res.GbpsPerDirection, want, rel*100)
+					design.Name, sz, got, want, rel*100)
 			}
 		}
 	}
@@ -152,11 +170,11 @@ func TestThroughputOrderingMatchesFigure1(t *testing.T) {
 	for _, sz := range []int{64, 256, 1024} {
 		run := func(design model.NIC) float64 {
 			k, complex, buf := buildStack(t)
-			res, err := Throughput(k, complex, design, buf.DMAAddr(0), sz, 2000, 64)
+			got, err := throughput(k, complex, design, buf.DMAAddr(0), sz, 2000, 64)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res.GbpsPerDirection
+			return got
 		}
 		simple := run(model.SimpleNIC())
 		kernel := run(model.ModernNICKernel())
@@ -169,10 +187,10 @@ func TestThroughputOrderingMatchesFigure1(t *testing.T) {
 
 func TestThroughputErrors(t *testing.T) {
 	k, complex, buf := buildStack(t)
-	if _, err := Throughput(k, complex, model.SimpleNIC(), buf.DMAAddr(0), 0, 10, 8); err == nil {
+	if _, err := throughput(k, complex, model.SimpleNIC(), buf.DMAAddr(0), 0, 10, 8); err == nil {
 		t.Error("size 0 accepted")
 	}
-	if _, err := Throughput(k, complex, model.SimpleNIC(), buf.DMAAddr(0), 64, 0, 8); err == nil {
+	if _, err := throughput(k, complex, model.SimpleNIC(), buf.DMAAddr(0), 64, 0, 8); err == nil {
 		t.Error("pairs 0 accepted")
 	}
 }

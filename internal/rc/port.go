@@ -121,17 +121,9 @@ func (r *RootComplex) AddPort(cfg PortConfig, sock *Socket, sw *Switch) (*Port, 
 	// wires (rare) fall back to the direct computation.
 	p.btLUT = make([]sim.Time, link.MPS+p.wrHdr+64)
 	if p.index == 0 {
-		// Port 0 shares the RootComplex's embedded stats block and
-		// defines its degenerate-view Config, so the original
-		// single-device API keeps working on any topology.
+		// Port 0 shares the RootComplex's embedded stats block, so the
+		// original single-device API keeps working on any topology.
 		p.stats = &r.LinkStats
-		r.cfg = Config{
-			Link:        cfg.Link,
-			PipeLatency: sock.pipeLatency,
-			PipeSlots:   sock.pipe.Slots(),
-			WireDelay:   cfg.WireDelay,
-			Jitter:      sock.jitter,
-		}
 	}
 	if sw != nil {
 		p.swSlot = sw.addDownstream()
@@ -217,9 +209,6 @@ func (p *Port) SetTracer(t trace.Tracer) { p.tracer = t }
 
 // UpUtilization returns the device->host link utilization so far.
 func (p *Port) UpUtilization() float64 { return p.up.Utilization() }
-
-// DownUtilization returns the host->device link utilization so far.
-func (p *Port) DownUtilization() float64 { return p.down.Utilization() }
 
 // bytesTime returns the serialization time of n wire bytes on the
 // port's link, memoizing the per-size result. Entry 0 doubles as the

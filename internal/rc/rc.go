@@ -187,7 +187,6 @@ type barRange struct {
 // strict drop-in for the previous implementation.
 type RootComplex struct {
 	k    *sim.Kernel
-	cfg  Config
 	ms   *mem.System
 	mmu  *iommu.IOMMU // nil when disabled
 	amap AddressMap
@@ -309,14 +308,6 @@ func (r *RootComplex) peerOf(addr uint64) *Port {
 	return nil
 }
 
-// Config returns the degenerate single-device view of the router:
-// port 0's link and wire delay plus its socket's pipeline calibration.
-// For a router built by New this is exactly the Config passed in.
-func (r *RootComplex) Config() Config { return r.cfg }
-
-// Link returns port 0's link configuration.
-func (r *RootComplex) Link() pcie.LinkConfig { return r.ports[0].Link() }
-
 // SetTracer installs a TLP tracer on port 0; every request, write and
 // completion crossing that link is then emitted as a wire-exact record
 // at its serialization-complete time. A nil tracer (the default) costs
@@ -379,9 +370,3 @@ func (r *RootComplex) MMIOWrite(at sim.Time, sz int) sim.Time {
 func (r *RootComplex) MMIORead(at sim.Time, sz int, devLatency sim.Time) sim.Time {
 	return r.ports[0].MMIORead(at, sz, devLatency)
 }
-
-// UpUtilization returns port 0's device->host link utilization so far.
-func (r *RootComplex) UpUtilization() float64 { return r.ports[0].UpUtilization() }
-
-// DownUtilization returns port 0's host->device link utilization so far.
-func (r *RootComplex) DownUtilization() float64 { return r.ports[0].DownUtilization() }

@@ -17,12 +17,12 @@ type Expectation struct {
 	OK         bool
 }
 
-// Expectations runs every experiment and compares the key quantities
-// the paper reports against the measured values, producing the table
+// Expectations compares the key quantities the paper reports against
+// the measured values of every figure in figs, producing the table
 // recorded in EXPERIMENTS.md. A row is marked ok when the measured
 // value falls within the stated tolerance of the paper's figure; rows
 // that deviate are kept visible rather than hidden.
-func Expectations(q Quality) (*Table, error) {
+func Expectations(figs *Figures) (*Table, error) {
 	t := &Table{
 		Title:   "Paper vs measured (tolerances are on shape, not testbed-absolute values)",
 		Columns: []string{"Experiment", "Quantity", "Paper", "Measured", "OK"},
@@ -42,7 +42,7 @@ func Expectations(q Quality) (*Table, error) {
 	add("fig1", "simple NIC 40G crossover", ">512B", cross, " B", 384, 768)
 
 	// Figure 2.
-	fig2, err := Fig2(q)
+	fig2, err := figs.Fig2()
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +54,7 @@ func Expectations(q Quality) (*Table, error) {
 		100*fig2.SeriesByName("PCIe fraction").YAt(1500), " %", 70, 85)
 
 	// Figure 4.
-	fig4, err := Fig4(q)
+	fig4, err := figs.Fig4()
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +67,7 @@ func Expectations(q Quality) (*Table, error) {
 		fig4[1].SeriesByName("fig4b (NetFPGA-HSW)").YAt(64), " Gb/s", 34, 44)
 
 	// Figure 5.
-	fig5, err := Fig5(q)
+	fig5, err := figs.Fig5()
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +78,7 @@ func Expectations(q Quality) (*Table, error) {
 		fig5.SeriesByName("LAT_RD (NFP6000-HSW)").YAt(2048), " ns", 1300, 1700)
 
 	// Figure 6.
-	fig6, err := Fig6(q)
+	fig6, err := figs.Fig6()
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +89,7 @@ func Expectations(q Quality) (*Table, error) {
 	add("fig6", "E3 p99 @64B", "5707 ns", inverseAtSeries(e3, 0.99), " ns", 4000, 8000)
 
 	// Figure 7.
-	fig7, err := Fig7(q)
+	fig7, err := figs.Fig7()
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +102,7 @@ func Expectations(q Quality) (*Table, error) {
 	add("fig7a", "DDIO boundary penalty", "~70 ns", ddio, " ns", 50, 95)
 
 	// Figure 8.
-	fig8, err := Fig8(q)
+	fig8, err := figs.Fig8()
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +116,7 @@ func Expectations(q Quality) (*Table, error) {
 		fig8.SeriesByName("512B BW_RD").YAt(64<<10), " %", -3, 3)
 
 	// Figure 9.
-	fig9, err := Fig9(q)
+	fig9, err := figs.Fig9()
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package report
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"pciebench/internal/model"
 	"pciebench/internal/pcie"
@@ -29,9 +30,9 @@ func init() {
 	}
 }
 
-// runSpec executes a spec on the report worker pool.
+// runSpec executes a spec on a GOMAXPROCS-wide engine.
 func runSpec(s *sweep.Spec, q Quality) (*sweep.Result, error) {
-	e := &sweep.Engine{Workers: Parallelism(), Quality: q}
+	e := &sweep.Engine{Quality: q}
 	res, _, err := e.Run(context.Background(), s)
 	return res, err
 }
@@ -484,17 +485,43 @@ func ddioSpec() *sweep.Spec {
 	}
 }
 
-// Table2 derives the paper's notable-findings table from fresh
-// measurements (Table 2), quoting the measured evidence for each
-// recommendation.
-func Table2(q Quality) (*Table, error) {
+// Figures is one run's measured paper figures. Each is computed on its
+// first call and then kept, so the tables derived from them (Table2,
+// Expectations) reuse the figures a run already has instead of
+// re-running their sweeps.
+type Figures struct {
+	q                            Quality
+	Fig2, Fig5, Fig6, Fig8, Fig9 func() (*Figure, error)
+	Fig4, Fig7                   func() ([]*Figure, error)
+}
+
+// NewFigures returns a figure set measured at quality q, with nothing
+// computed yet.
+func NewFigures(q Quality) *Figures {
+	return &Figures{
+		q:    q,
+		Fig2: once(q, Fig2), Fig4: once(q, Fig4), Fig5: once(q, Fig5), Fig6: once(q, Fig6),
+		Fig7: once(q, Fig7), Fig8: once(q, Fig8), Fig9: once(q, Fig9),
+	}
+}
+
+// once memoizes the experiment run at quality q.
+func once[T any](q Quality, run func(Quality) (T, error)) func() (T, error) {
+	return sync.OnceValues(func() (T, error) { return run(q) })
+}
+
+// Table2 derives the paper's notable-findings table from measurements
+// (Table 2), quoting the measured evidence for each recommendation. It
+// reads Figs 8 and 9 from figs and measures only the DDIO cells
+// itself.
+func Table2(figs *Figures) (*Table, error) {
 	t := &Table{
 		Title:   "Table 2: Notable findings, derived experimentally",
 		Columns: []string{"Area", "Observation (measured)", "Recommendation"},
 	}
 
 	// IOMMU: throughput collapse beyond the IO-TLB reach.
-	fig9, err := Fig9(q)
+	fig9, err := figs.Fig9()
 	if err != nil {
 		return nil, err
 	}
@@ -509,7 +536,7 @@ func Table2(q Quality) (*Table, error) {
 
 	// DDIO: warm descriptor-sized accesses are faster. The two cache
 	// states are independent cells.
-	ddio, err := runSpec(ddioSpec(), q)
+	ddio, err := runSpec(ddioSpec(), figs.q)
 	if err != nil {
 		return nil, err
 	}
@@ -521,7 +548,7 @@ func Table2(q Quality) (*Table, error) {
 	})
 
 	// NUMA small transfers: remote cache reads cost bandwidth.
-	fig8, err := Fig8(q)
+	fig8, err := figs.Fig8()
 	if err != nil {
 		return nil, err
 	}

@@ -11,36 +11,11 @@ package report
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync/atomic"
 
 	"pciebench/internal/stats"
 	"pciebench/internal/sweep"
 )
-
-// parallelism is the worker count for the package's experiment sweeps;
-// 0 selects GOMAXPROCS. Every experiment point builds its own simulator
-// instance and results are collected in submission order, so figure and
-// table output is byte-identical for any setting.
-var parallelism atomic.Int64
-
-// SetParallelism sets the worker count used by all experiment sweeps
-// (n <= 0 restores the GOMAXPROCS default).
-func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	parallelism.Store(int64(n))
-}
-
-// Parallelism returns the effective sweep worker count.
-func Parallelism() int {
-	if n := parallelism.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // Quality scales experiment sizes; the Quick/Full knob and its
 // per-benchmark transaction counts are defined once in internal/sweep

@@ -16,27 +16,9 @@ func skipInShort(t *testing.T) {
 	}
 }
 
-// TestParallelDeterminism asserts the runner contract at the report
-// layer: the rendered output of a sweep is byte-identical for every
-// worker count.
-func TestParallelDeterminism(t *testing.T) {
-	defer SetParallelism(0)
-	render := func(workers int) string {
-		SetParallelism(workers)
-		fig, err := Fig5(Quick)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fig.TSV()
-	}
-	want := render(1)
-	for _, workers := range []int{4, 8} {
-		if got := render(workers); got != want {
-			t.Fatalf("workers=%d output differs from workers=1:\n%s\n--- vs ---\n%s",
-				workers, got, want)
-		}
-	}
-}
+// quick is the figure set the report tests share: each figure is
+// measured once, as one pcie-repro run measures it.
+var quick = NewFigures(Quick)
 
 func TestTableRender(t *testing.T) {
 	tbl := &Table{
@@ -96,7 +78,7 @@ func TestFig1Shapes(t *testing.T) {
 }
 
 func TestFig2Shapes(t *testing.T) {
-	fig, err := Fig2(Quick)
+	fig, err := quick.Fig2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +120,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig4Shapes(t *testing.T) {
-	figs, err := Fig4(Quick)
+	figs, err := quick.Fig4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +168,7 @@ func TestFig4Shapes(t *testing.T) {
 }
 
 func TestFig5Shapes(t *testing.T) {
-	fig, err := Fig5(Quick)
+	fig, err := quick.Fig5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +206,7 @@ func TestFig5Shapes(t *testing.T) {
 }
 
 func TestFig6Shapes(t *testing.T) {
-	fig, err := Fig6(Quick)
+	fig, err := quick.Fig6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +249,7 @@ func inverseAt(xs, cum []float64, p float64) float64 {
 
 func TestFig7Shapes(t *testing.T) {
 	skipInShort(t)
-	figs, err := Fig7(Quick)
+	figs, err := quick.Fig7()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +307,7 @@ func TestFig7Shapes(t *testing.T) {
 
 func TestFig8Shapes(t *testing.T) {
 	skipInShort(t)
-	fig, err := Fig8(Quick)
+	fig, err := quick.Fig8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +346,7 @@ func TestFig8Shapes(t *testing.T) {
 
 func TestFig9Shapes(t *testing.T) {
 	skipInShort(t)
-	fig, err := Fig9(Quick)
+	fig, err := quick.Fig9()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +387,7 @@ func TestFig9Shapes(t *testing.T) {
 
 func TestTable2(t *testing.T) {
 	skipInShort(t)
-	tbl, err := Table2(Quick)
+	tbl, err := Table2(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +404,7 @@ func TestTable2(t *testing.T) {
 
 func TestExpectationsAllPass(t *testing.T) {
 	skipInShort(t)
-	tbl, err := Expectations(Quick)
+	tbl, err := Expectations(quick)
 	if err != nil {
 		t.Fatal(err)
 	}

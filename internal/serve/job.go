@@ -35,14 +35,13 @@ func terminal(state string) bool {
 // replaced on every update — a broadcast that, unlike sync.Cond,
 // composes with context cancellation in a select.
 type job struct {
-	id         string
-	spec       *sweep.Spec
-	labels     []string
-	workers    int
-	simWorkers int
-	quality    sweep.Quality
-	created    time.Time
-	cancel     context.CancelFunc
+	id      string
+	spec    *sweep.Spec
+	labels  []string
+	workers int
+	quality sweep.Quality
+	created time.Time
+	cancel  context.CancelFunc
 
 	mu      sync.Mutex
 	notify  chan struct{}
@@ -54,18 +53,17 @@ type job struct {
 	elapsed time.Duration
 }
 
-func newJob(id string, spec *sweep.Spec, workers, simWorkers int, q sweep.Quality, cancel context.CancelFunc) *job {
+func newJob(id string, spec *sweep.Spec, workers int, q sweep.Quality, cancel context.CancelFunc) *job {
 	return &job{
-		id:         id,
-		spec:       spec,
-		labels:     spec.ProbeLabels(),
-		workers:    workers,
-		simWorkers: simWorkers,
-		quality:    q,
-		created:    time.Now(),
-		cancel:     cancel,
-		notify:     make(chan struct{}),
-		state:      StateQueued,
+		id:      id,
+		spec:    spec,
+		labels:  spec.ProbeLabels(),
+		workers: workers,
+		quality: q,
+		created: time.Now(),
+		cancel:  cancel,
+		notify:  make(chan struct{}),
+		state:   StateQueued,
 	}
 }
 

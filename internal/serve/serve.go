@@ -19,11 +19,13 @@
 //	                                 {"run": name, "overrides": [...]}
 //	                                 for a registered sweep); query
 //	                                 params: quality=quick|full,
-//	                                 workers=N, simworkers=N (parallel
-//	                                 simulation budget per fabric cell;
-//	                                 results are byte-identical at every
-//	                                 value, so it is not part of the
-//	                                 cache key), set=key=v1,v2
+//	                                 workers=N (the job's worker pool,
+//	                                 at most Config.Workers; it also
+//	                                 bounds the goroutines each
+//	                                 fabric cell runs its islands on,
+//	                                 and results are byte-identical at
+//	                                 every value, so it is not part of
+//	                                 the cache key), set=key=v1,v2
 //	                                 (repeatable axis/base overrides),
 //	                                 and ber= / cto= / retrain=
 //	                                 (fault-injection sugar for the
@@ -52,6 +54,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -63,7 +66,7 @@ import (
 // Config assembles a Server.
 type Config struct {
 	// Workers caps the per-job worker pool; requests may ask for fewer
-	// via ?workers=N but never more. 0 means GOMAXPROCS.
+	// via ?workers=N but never more. 0 means GOMAXPROCS at New.
 	Workers int
 	// MaxJobs bounds concurrently executing jobs; later submissions
 	// queue. 0 means 2.
@@ -108,6 +111,9 @@ func New(cfg Config) *Server {
 	maxJobs := cfg.MaxJobs
 	if maxJobs <= 0 {
 		maxJobs = 2
+	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -266,30 +272,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		// Per-job concurrency limit: a request may shrink its pool but
 		// never exceed the server's cap.
-		if s.cfg.Workers <= 0 || n < s.cfg.Workers {
-			workers = n
-		}
-	}
-	// simworkers selects the island-parallel simulation budget for
-	// each multi-endpoint workload fabric cell. Results are byte-identical
-	// at every value, so it never enters the cache key — serial and
-	// parallel submissions share cache entries.
-	simWorkers := 1
-	if sw := q.Get("simworkers"); sw != "" {
-		n, err := strconv.Atoi(sw)
-		if err != nil {
-			apiError(w, http.StatusBadRequest,
-				"simworkers must be an integer in %s, not %q", sweep.SimWorkersRange(), sw)
-			return
-		}
-		if err := sweep.ValidateSimWorkers(n); err != nil {
-			apiError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		simWorkers = n
+		workers = min(n, workers)
 	}
 
-	j := s.launch(spec, workers, simWorkers, quality)
+	j := s.launch(spec, workers, quality)
 	writeJSON(w, http.StatusAccepted, submitResponse{
 		ID:      j.id,
 		Name:    spec.Name,
@@ -301,7 +287,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // launch registers a job and starts its goroutine, bounded by the
 // concurrent-jobs semaphore.
-func (s *Server) launch(spec *sweep.Spec, workers, simWorkers int, quality sweep.Quality) *job {
+func (s *Server) launch(spec *sweep.Spec, workers int, quality sweep.Quality) *job {
 	var ctx context.Context
 	var cancel context.CancelFunc
 	if s.cfg.JobTimeout > 0 {
@@ -316,7 +302,7 @@ func (s *Server) launch(spec *sweep.Spec, workers, simWorkers int, quality sweep
 	s.mu.Lock()
 	s.nextID++
 	id := fmt.Sprintf("sw-%d", s.nextID)
-	j := newJob(id, spec, workers, simWorkers, quality, cancel)
+	j := newJob(id, spec, workers, quality, cancel)
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.mu.Unlock()
@@ -334,12 +320,11 @@ func (s *Server) launch(spec *sweep.Spec, workers, simWorkers int, quality sweep
 		}
 		j.update(func() { j.state = StateRunning })
 		engine := &sweep.Engine{
-			Workers:    j.workers,
-			SimWorkers: j.simWorkers,
-			Quality:    j.quality,
-			Cache:      s.cfg.Cache,
-			Build:      s.cfg.Build,
-			OnCell:     j.appendRow,
+			Workers: j.workers,
+			Quality: j.quality,
+			Cache:   s.cfg.Cache,
+			Build:   s.cfg.Build,
+			OnCell:  j.appendRow,
 		}
 		res, stats, err := engine.Run(ctx, spec)
 		j.finish(res, stats, err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"pciebench/internal/cache"
@@ -29,18 +30,16 @@ import (
 //     count, with or without a cache.
 type Engine struct {
 	// Workers is the runner pool size for cache misses; <= 0 selects
-	// GOMAXPROCS. Results are byte-identical for every value.
-	Workers int
-	// SimWorkers is the island-parallel simulation budget for
-	// multi-endpoint workload fabric cells; <= 1 simulates serially.
-	// Results are byte-identical for every value, which is why — unlike
-	// Quality — SimWorkers is deliberately NOT part of the cache key: a
+	// GOMAXPROCS. The resolved count also bounds the goroutines each
+	// multi-endpoint workload fabric cell runs its islands on. Results
+	// are byte-identical for every value, which is why — unlike
+	// Quality — Workers is deliberately NOT part of the cache key: a
 	// cell computed at any worker count serves requests at every other.
-	// The identity is pinned in internal/topo over generated topologies,
-	// arrival processes, fault configs and fabric reuse
+	// The island identity is pinned in internal/topo over generated
+	// topologies, arrival processes, fault configs and fabric reuse
 	// (TestPropertyParallelFabricInvariance, TestOpenLoopIslandIdentity,
 	// TestReusedFabricRetrainIdentity, TestFaultWorkerIdentity).
-	SimWorkers int
+	Workers int
 	// Quality resolves transaction counts left at zero; it is part of
 	// the cache key (quick and full results never alias).
 	Quality Quality
@@ -189,9 +188,13 @@ func (e *Engine) Run(ctx context.Context, s *Spec) (*Result, Stats, error) {
 	stats.Executed = len(misses)
 	st.flush() // publish the leading run of cache hits immediately
 
-	_, err := runner.Map(ctx, misses, e.Workers,
+	workers := e.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	_, err := runner.Map(ctx, misses, workers,
 		func(_ context.Context, _ int, m miss) (struct{}, error) {
-			res, err := s.runCell(m.cell, e.Quality, e.SimWorkers)
+			res, err := s.runCell(m.cell, e.Quality, workers)
 			if err != nil {
 				return struct{}{}, err
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"pciebench/internal/cache"
@@ -377,12 +378,13 @@ func TestEngineQuarantinesCorruptEntry(t *testing.T) {
 // the engine measures for the same assignment as a one-cell fixed-seed
 // spec. Single runs also sample switch waits, which the engine leaves
 // off, so the switched cases check that sampling never perturbs a
-// result.
+// result. The split case runs at GOMAXPROCS 4, so the single run
+// builds islands, and compares against an engine at four workers.
 func TestSingleMatchesEngine(t *testing.T) {
 	cases := []struct {
-		name       string
-		kv         map[string]string
-		simWorkers int
+		name    string
+		kv      map[string]string
+		workers int
 	}{
 		{"switched-workload", map[string]string{"bench": "workload", "endpoints": "3", "switch": "on", "sizes": "512", "n": "200", "seed": "1"}, 1},
 		{"p2p-bounce", map[string]string{"bench": "p2p", "p2p": "bounce", "transfer": "1024", "n": "100", "seed": "1"}, 1},
@@ -393,7 +395,8 @@ func TestSingleMatchesEngine(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d, err := Single(tc.kv, tc.simWorkers)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.workers))
+			d, err := Single(tc.kv)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -405,15 +408,15 @@ func TestSingleMatchesEngine(t *testing.T) {
 					t.Error("single run left switch wait sampling off")
 				}
 			}
-			// simWorkers reaches the fabric: the split shape builds
+			// GOMAXPROCS reaches the fabric: the split shape builds
 			// islands.
-			if n := len(d.Fabric.Kernels); tc.simWorkers > 1 && n < 2 {
-				t.Errorf("fabric at simworkers=%d built %d island(s), want several", tc.simWorkers, n)
+			if n := len(d.Fabric.Kernels); tc.workers > 1 && n < 2 {
+				t.Errorf("fabric at GOMAXPROCS %d built %d island(s), want several", tc.workers, n)
 			}
 			base := cloneMap(tc.kv)
 			delete(base, "bench")
 			s := &Spec{Name: "single", Axes: []Axis{StrAxis("bench", tc.kv["bench"])}, Base: base, SeedMode: SeedFixed}
-			res, _, err := (&Engine{Workers: 1, SimWorkers: tc.simWorkers}).Run(context.Background(), s)
+			res, _, err := (&Engine{Workers: tc.workers}).Run(context.Background(), s)
 			if err != nil {
 				t.Fatal(err)
 			}

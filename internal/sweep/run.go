@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 
 	"pciebench/internal/bench"
@@ -132,28 +133,6 @@ type Result struct {
 	Cells []CellResult
 }
 
-// MaxSimWorkers bounds the per-simulation parallelism the run surfaces
-// (CLI flags, the service's ?simworkers=) accept; islands are capped
-// by the 64-endpoint shape limit, so more workers than that can never
-// help.
-const MaxSimWorkers = 64
-
-// SimWorkersRange renders the accepted simworkers interval. Every
-// surface that names the bound — CLI flag help, the service's 400
-// response, validation errors — formats it through this one string, so
-// they can never drift apart.
-func SimWorkersRange() string {
-	return fmt.Sprintf("[1, %d]", MaxSimWorkers)
-}
-
-// ValidateSimWorkers checks a user-supplied simulation worker count.
-func ValidateSimWorkers(n int) error {
-	if n < 1 || n > MaxSimWorkers {
-		return fmt.Errorf("sweep: simworkers %d outside the valid range %s", n, SimWorkersRange())
-	}
-	return nil
-}
-
 // cellSeed resolves the seed a cell builds its instances from.
 func (s *Spec) cellSeed(cfg *Config, index int) {
 	cfg.Opt.Seed = s.resolveSeed(cfg.Opt.Seed, index)
@@ -176,8 +155,9 @@ func (s *Spec) resolveSeed(seed int64, index int) int64 {
 	return runner.Seed(seed, index)
 }
 
-// runCell measures every probe of one cell.
-func (s *Spec) runCell(c Cell, q Quality, simWorkers int) (CellResult, error) {
+// runCell measures every probe of one cell; a workload fabric cell
+// runs its islands on up to workers goroutines.
+func (s *Spec) runCell(c Cell, q Quality, workers int) (CellResult, error) {
 	res := CellResult{Cell: c}
 	var shared *sysconf.Instance
 	if s.SharedInstance {
@@ -215,7 +195,7 @@ func (s *Spec) runCell(c Cell, q Quality, simWorkers int) (CellResult, error) {
 		if memoable && memo != nil {
 			m = *memo
 		} else {
-			m, err = measure(cfg, shared, wantCDF, simWorkers, nil)
+			m, err = measure(cfg, shared, wantCDF, workers, nil)
 			if err != nil {
 				return res, fmt.Errorf("sweep: %s cell %d probe %d: %w", s.Name, c.Index, pi, err)
 			}
@@ -238,7 +218,7 @@ func (s *Spec) runCell(c Cell, q Quality, simWorkers int) (CellResult, error) {
 				if pcfg.Params.Transactions == 0 {
 					pcfg.Params.Transactions = q.Transactions(pcfg.Bench, metric)
 				}
-				pm, err = measure(pcfg, nil, wantCDF, simWorkers, nil)
+				pm, err = measure(pcfg, nil, wantCDF, workers, nil)
 				if err != nil {
 					return res, fmt.Errorf("sweep: %s cell %d probe %d contrast: %w", s.Name, c.Index, pi, err)
 				}
@@ -297,15 +277,16 @@ func (d *Detail) keep(res any, fab *topo.Fabric) {
 // Single resolves one cell assignment and measures it through the code
 // an engine cell runs, returning the run in full. Unlike an engine
 // cell it resolves no grid, mixes no seed and takes n as given: n=0
-// fails rather than resolving from a quality level. Switches sample
-// their arbitration waits, which never changes a result.
-func Single(kv map[string]string, simWorkers int) (*Detail, error) {
+// fails rather than resolving from a quality level. A workload fabric
+// runs its islands on up to GOMAXPROCS goroutines, and switches sample
+// their arbitration waits; neither ever changes a result.
+func Single(kv map[string]string) (*Detail, error) {
 	cfg, err := resolveRunnable(kv)
 	if err != nil {
 		return nil, err
 	}
 	d := &Detail{Config: cfg}
-	if d.Meas, err = measure(cfg, nil, false, simWorkers, d); err != nil {
+	if d.Meas, err = measure(cfg, nil, false, runtime.GOMAXPROCS(0), d); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -315,9 +296,9 @@ func Single(kv map[string]string, simWorkers int) (*Detail, error) {
 // (probe order is then the simulation order); otherwise the probe
 // builds its own fresh instance, like the paper's per-point runs. A
 // non-nil d receives the run's result and fabric.
-func measure(cfg Config, shared *sysconf.Instance, wantCDF bool, simWorkers int, d *Detail) (Measurement, error) {
+func measure(cfg Config, shared *sysconf.Instance, wantCDF bool, workers int, d *Detail) (Measurement, error) {
 	if shared == nil && cfg.usesFabric() {
-		return measureFabric(cfg, simWorkers, d)
+		return measureFabric(cfg, workers, d)
 	}
 	inst := shared
 	if inst == nil {
@@ -412,18 +393,19 @@ func measureWorkload(inst *sysconf.Instance, cfg Config, d *Detail) (Measurement
 
 // measureFabric runs the cell on a multi-endpoint fabric: the p2p
 // transfer benchmark, or the traffic engine on every endpoint at once.
-// simWorkers > 1 asks the workload path for a partitioned fabric
-// (results stay byte-identical; see internal/topo); the p2p
-// benchmark couples its endpoints and always builds serially. A
-// non-nil d also turns on the switches' wait sampling, which
-// allocates per TLP and so stays off in engine cells.
-func measureFabric(cfg Config, simWorkers int, d *Detail) (Measurement, error) {
+// The workload path asks for a fabric partitioned into islands run on
+// up to workers goroutines (results stay byte-identical at every
+// count; see internal/topo); the p2p benchmark couples its endpoints
+// and always builds serially. A non-nil d also turns on the switches'
+// wait sampling, which allocates per TLP and so stays off in engine
+// cells.
+func measureFabric(cfg Config, workers int, d *Detail) (Measurement, error) {
 	sys, err := sysconf.ByName(cfg.System)
 	if err != nil {
 		return Measurement{}, err
 	}
-	if cfg.Bench != BenchP2P && simWorkers > 1 {
-		cfg.Opt.SimWorkers = simWorkers
+	if cfg.Bench != BenchP2P {
+		cfg.Opt.SimWorkers = workers
 	}
 	fab, err := sys.Fabric(cfg.Shape, cfg.Opt)
 	if err != nil {

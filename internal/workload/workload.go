@@ -18,11 +18,10 @@
 //
 // Each packet pair expands into the per-packet PCIe transaction list
 // of a model.NIC design (payload DMAs plus amortized descriptor
-// fetches, write-backs, doorbells and interrupts) exactly as
-// nicsim.Throughput did; that function is now the single-queue,
-// fixed-size, saturating special case of this engine. Results report
-// per-queue and aggregate packet rate plus p50/p99/p99.9
-// completion-latency percentiles.
+// fetches, write-backs, doorbells and interrupts). Its single-queue,
+// fixed-size, saturating case is the simulated counterpart of the
+// closed-form Figure 1 model. Results report per-queue and aggregate
+// packet rate plus p50/p99/p99.9 completion-latency percentiles.
 package workload
 
 import (
