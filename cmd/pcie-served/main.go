@@ -130,8 +130,9 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	if err != nil {
 		return err
 	}
+	limits := srv.Config()
 	logf("pcie-served listening on %s (workers=%d max-jobs=%d quality=%s cache=%s build=%s)",
-		ln.Addr(), *workers, *maxJobs, q, *cacheSel, buildinfo.Version())
+		ln.Addr(), limits.Workers, limits.MaxJobs, q, *cacheSel, buildinfo.Version())
 	if ready != nil {
 		ready(ln.Addr().String())
 	}

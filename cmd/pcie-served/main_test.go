@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -142,6 +144,35 @@ func TestServedFlagErrors(t *testing.T) {
 		var logs bytes.Buffer
 		if err := run(context.Background(), args, &logs, nil); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
+		}
+	}
+}
+
+// TestServedStartupLine: the startup line reports the limits the server
+// enforces, not the raw flags: -workers 0 runs jobs on up to GOMAXPROCS
+// workers and -max-jobs 0 runs two jobs at a time.
+func TestServedStartupLine(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, fmt.Sprintf("(workers=%d max-jobs=2 ", procs)},
+		{[]string{"-workers", "0", "-max-jobs", "0"}, fmt.Sprintf("(workers=%d max-jobs=2 ", procs)},
+		{[]string{"-workers", "3", "-max-jobs", "5"}, "(workers=3 max-jobs=5 "},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var logs bytes.Buffer
+		args := append([]string{"-addr", "127.0.0.1:0", "-quiet"}, tc.args...)
+		// Cancelling once the listener is up shuts the server straight
+		// down, so run returns and the log is complete.
+		if err := run(ctx, args, &logs, func(string) { cancel() }); err != nil {
+			t.Fatalf("run(%v): %v", args, err)
+		}
+		cancel()
+		first, _, _ := strings.Cut(logs.String(), "\n")
+		if !strings.HasPrefix(first, "pcie-served listening on ") || !strings.Contains(first, tc.want) {
+			t.Errorf("run(%v): startup line %q, want it to contain %q", args, first, tc.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package nicsim
 
 import (
+	"strings"
 	"testing"
 
 	"pciebench/internal/hostif"
@@ -187,8 +188,8 @@ func TestThroughputOrderingMatchesFigure1(t *testing.T) {
 
 func TestThroughputErrors(t *testing.T) {
 	k, complex, buf := buildStack(t)
-	if _, err := throughput(k, complex, model.SimpleNIC(), buf.DMAAddr(0), 0, 10, 8); err == nil {
-		t.Error("size 0 accepted")
+	if _, err := throughput(k, complex, model.SimpleNIC(), buf.DMAAddr(0), 0, 10, 8); err == nil || !strings.Contains(err.Error(), "frame size 0 out of") {
+		t.Errorf("size 0: err = %v, want the frame-size error", err)
 	}
 	if _, err := throughput(k, complex, model.SimpleNIC(), buf.DMAAddr(0), 64, 0, 8); err == nil {
 		t.Error("pairs 0 accepted")

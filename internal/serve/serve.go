@@ -106,14 +106,17 @@ type Server struct {
 	totals sweep.Stats
 }
 
-// New builds a Server from cfg.
+// New builds a Server from cfg, resolving its zero limits to the
+// defaults Config documents.
 func New(cfg Config) *Server {
-	maxJobs := cfg.MaxJobs
-	if maxJobs <= 0 {
-		maxJobs = 2
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.MaxJobs <= 0 {
+		cfg.MaxJobs = 2
+	}
+	if cfg.MaxBody <= 0 {
+		cfg.MaxBody = 4 << 20
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -121,7 +124,7 @@ func New(cfg Config) *Server {
 		mux:    http.NewServeMux(),
 		ctx:    ctx,
 		cancel: cancel,
-		sem:    make(chan struct{}, maxJobs),
+		sem:    make(chan struct{}, cfg.MaxJobs),
 		jobs:   map[string]*job{},
 	}
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -136,6 +139,10 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleCancel)
 	return s
 }
+
+// Config returns the configuration New resolved: the worker cap, job
+// concurrency and body bound the server enforces.
+func (s *Server) Config() Config { return s.cfg }
 
 // ServeHTTP dispatches to the API mux.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -189,15 +196,11 @@ type submitResponse struct {
 // handleSubmit accepts a Spec document (the versioned wire format) or
 // a {"run": name} envelope, applies overrides, and launches the job.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	maxBody := s.cfg.MaxBody
-	if maxBody <= 0 {
-		maxBody = 4 << 20
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 	if err != nil {
 		if errors.As(err, new(*http.MaxBytesError)) {
 			apiError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", maxBody)
+				"request body exceeds %d bytes", s.cfg.MaxBody)
 			return
 		}
 		apiError(w, http.StatusBadRequest, "read body: %v", err)

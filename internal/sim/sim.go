@@ -358,6 +358,3 @@ func (s *MultiServer) ScheduleAt(t Time, d Time) Time {
 	r[i] = done
 	return done
 }
-
-// Slots returns the number of parallel servers.
-func (s *MultiServer) Slots() int { return len(s.ring) }

@@ -218,15 +218,18 @@ func TestMultiServerParallelism(t *testing.T) {
 	if c3 != 200 {
 		t.Errorf("third should queue: %v", c3)
 	}
-	if m.Slots() != 2 {
-		t.Errorf("Slots = %d", m.Slots())
+	// Two slots: the fourth job shares the second wave with the third.
+	if c4 := m.Schedule(100); c4 != 200 {
+		t.Errorf("fourth should run beside the third: %v", c4)
 	}
 }
 
+// A server asked for 0 slots gets one: two jobs run back to back.
 func TestMultiServerClampsSlots(t *testing.T) {
 	k := New(1)
-	if m := NewMultiServer(k, 0); m.Slots() != 1 {
-		t.Error("0 slots not clamped to 1")
+	m := NewMultiServer(k, 0)
+	if c1, c2 := m.Schedule(100), m.Schedule(100); c1 != 100 || c2 != 200 {
+		t.Errorf("0 slots: jobs complete at %v and %v, want 100 and 200", c1, c2)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -40,7 +41,7 @@ func Summarize(samples []Sample) (Summary, error) {
 
 // Scratch is a reusable sort buffer for summary and quantile
 // computations. The zero value is ready to use; reusing one Scratch
-// across calls (per-queue latency summaries, sweep probes) avoids the
+// across calls (latency benchmarks, sweep probes) avoids the
 // copy-and-sort allocation that Summarize/Quantiles otherwise pay per
 // call. A Scratch is not safe for concurrent use.
 type Scratch struct {
@@ -62,32 +63,152 @@ func (sc *Scratch) sorted(samples []Sample) []float64 {
 // The input slice is not modified. Results are identical to the
 // package-level Summarize.
 func (sc *Scratch) Summarize(samples []Sample) (Summary, error) {
-	if len(samples) == 0 {
+	return SummarizeRuns(sc.sorted(samples))
+}
+
+// SummarizeRuns computes the Summary of the concatenation of runs, each
+// already sorted ascending, without copying or merging them: it visits
+// the samples in merged order, through a binary min-heap of the runs'
+// heads (O(N log k) for k non-empty runs), reading the last run left
+// straight through. The runs are not modified.
+//
+// Every field equals Summarize of the concatenation bit for bit,
+// provided equal samples are bit-identical, i.e. no NaN and no mix of
+// -0 and +0: the sums and order statistics are then the same
+// floating-point operations on the same values in the same order,
+// whichever run a tie is taken from. Completion latencies,
+// non-negative finite sim.Time nanoseconds, meet this.
+func SummarizeRuns(runs ...[]Sample) (Summary, error) {
+	var buf [32]runHead
+	h := buf[:0]
+	n := 0
+	for _, r := range runs {
+		if len(r) > 0 {
+			h = append(h, runHead{r[0], r[1:]})
+			n += len(r)
+		}
+	}
+	if n == 0 {
 		return Summary{}, ErrNoSamples
 	}
-	sorted := sc.sorted(samples)
-	var sum, sumsq float64
-	for _, v := range sorted {
-		sum += v
-		sumsq += v * v
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
 	}
-	n := float64(len(sorted))
-	mean := sum / n
-	variance := sumsq/n - mean*mean
+	w := newRankWalk(n)
+	for len(h) > 1 {
+		top := &h[0]
+		w.add(top.v)
+		if len(top.rest) > 0 {
+			top.v, top.rest = top.rest[0], top.rest[1:]
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+	w.add(h[0].v)
+	for _, v := range h[0].rest {
+		w.add(v)
+	}
+	return w.summary(), nil
+}
+
+// runHead is a sorted run's smallest unvisited sample and the samples
+// after it.
+type runHead struct {
+	v    float64
+	rest []Sample
+}
+
+// siftDown restores the min-heap order of h below index i.
+func siftDown(h []runHead, i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && h[r].v < h[m].v {
+			m = r
+		}
+		if !(h[m].v < h[i].v) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// summaryQuantiles are the quantiles a Summary reports: Min, Median,
+// P95, P99, P999 and Max.
+var summaryQuantiles = [...]float64{0, 0.5, 0.95, 0.99, 0.999, 1}
+
+// rankWalk accumulates a Summary over n samples visited in ascending
+// order: the sum and sum of squares, and the order statistics the
+// summary's quantiles interpolate between.
+type rankWalk struct {
+	n          int
+	sum, sumsq float64
+	i          int // rank of the next sample visited
+	qs         [len(summaryQuantiles)]quantilePos
+	// ranks holds every rank a quantile reads, ascending. It is not in
+	// field order: at n = 88, P99 and P999 both read ranks 86 and 87.
+	ranks [2 * len(summaryQuantiles)]int
+	vals  [2 * len(summaryQuantiles)]float64 // vals[j] is the sample at ranks[j]
+	j     int                                // next index into ranks
+}
+
+func newRankWalk(n int) rankWalk {
+	w := rankWalk{n: n}
+	for k, q := range summaryQuantiles {
+		p := quantileAt(n, q)
+		w.qs[k] = p
+		w.ranks[2*k], w.ranks[2*k+1] = p.lo, p.hi
+	}
+	slices.Sort(w.ranks[:])
+	return w
+}
+
+// add visits the sample of the next rank, keeping it for every wanted
+// rank it is.
+func (w *rankWalk) add(v float64) {
+	w.sum += v
+	w.sumsq += v * v
+	for w.j < len(w.ranks) && w.ranks[w.j] == w.i {
+		w.vals[w.j] = v
+		w.j++
+	}
+	w.i++
+}
+
+// at returns the recorded sample at rank r, one of w.ranks.
+func (w *rankWalk) at(r int) float64 {
+	j, _ := slices.BinarySearch(w.ranks[:], r)
+	return w.vals[j]
+}
+
+// summary finishes the walk.
+func (w *rankWalk) summary() Summary {
+	n := float64(w.n)
+	mean := w.sum / n
+	variance := w.sumsq/n - mean*mean
 	if variance < 0 {
 		variance = 0
 	}
+	var qv [len(summaryQuantiles)]float64
+	for k, p := range w.qs {
+		qv[k] = p.value(w.at(p.lo), w.at(p.hi))
+	}
 	return Summary{
-		N:      len(sorted),
+		N:      w.n,
 		Mean:   mean,
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		Median: quantileSorted(sorted, 0.5),
-		P95:    quantileSorted(sorted, 0.95),
-		P99:    quantileSorted(sorted, 0.99),
-		P999:   quantileSorted(sorted, 0.999),
+		Min:    qv[0],
+		Max:    qv[5],
+		Median: qv[1],
+		P95:    qv[2],
+		P99:    qv[3],
+		P999:   qv[4],
 		StdDev: math.Sqrt(variance),
-	}, nil
+	}
 }
 
 // Quantiles computes several quantiles of samples into dst (grown as
@@ -135,20 +256,36 @@ func Quantiles(samples []Sample, qs ...float64) ([]float64, error) {
 }
 
 func quantileSorted(sorted []float64, q float64) float64 {
+	p := quantileAt(len(sorted), q)
+	return p.value(sorted[p.lo], sorted[p.hi])
+}
+
+// quantilePos locates the q-quantile of n sorted samples: the ranks of
+// the two order statistics it interpolates between and the weight of
+// the upper one.
+type quantilePos struct {
+	lo, hi int
+	frac   float64
+}
+
+func quantileAt(n int, q float64) quantilePos {
 	if q <= 0 {
-		return sorted[0]
+		return quantilePos{}
 	}
 	if q >= 1 {
-		return sorted[len(sorted)-1]
+		return quantilePos{lo: n - 1, hi: n - 1}
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
+	return quantilePos{lo: lo, hi: int(math.Ceil(pos)), frac: pos - float64(lo)}
+}
+
+// value interpolates between lo and hi, the samples at p's two ranks.
+func (p quantilePos) value(lo, hi float64) float64 {
+	if p.lo == p.hi {
+		return lo
 	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return lo*(1-p.frac) + hi*p.frac
 }
 
 // CDF is an empirical cumulative distribution function.

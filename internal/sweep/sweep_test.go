@@ -233,6 +233,12 @@ func TestValidateErrors(t *testing.T) {
 			s.Axes = []Axis{IntAxis("n", -5)}
 			s.Base = map[string]string{"bench": "workload"}
 		},
+		// A workload's transfer is its fixed frame size, bounded like
+		// sizes= by the 9,216 B jumbo frame.
+		func(s *Spec) {
+			s.Axes = []Axis{StrAxis("transfer", "16K")}
+			s.Base = map[string]string{"bench": "workload"}
+		},
 		func(s *Spec) {
 			s.Axes = []Axis{IntAxis("n", -3)}
 			s.Base = map[string]string{"bench": "loopback", "transfer": "64"}

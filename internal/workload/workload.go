@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
 	"sync"
 
 	"pciebench/internal/fault"
@@ -229,6 +230,9 @@ func (c Config) Validate() error {
 	if err := c.Design.Validate(); err != nil {
 		return err
 	}
+	if err := checkFrame(c.Sizes.Max()); err != nil {
+		return err
+	}
 	if c.Sizes.Max() > c.QueueStride {
 		return fmt.Errorf("workload: max frame %dB exceeds queue stride %dB", c.Sizes.Max(), c.QueueStride)
 	}
@@ -294,7 +298,7 @@ type queueState struct {
 	bhead    int       // index of the oldest backlog entry
 	pairs    int       // completed
 	bytes    int64     // completed payload bytes
-	lat      []float64 // completion latencies in ns (pooled)
+	lat      []float64 // completion latencies in ns (pooled), sorted by collect
 
 	latPtr     *[]float64 // pool boxes, round-tripped back on Put
 	backlogPtr *[]pending
@@ -388,8 +392,6 @@ type runState struct {
 	arrived int
 	endAt   sim.Time
 	err     error
-	lat     []float64  // aggregate completion latencies (pooled)
-	latPtr  *[]float64 // pool box, round-tripped back on Put
 	closed  bool
 }
 
@@ -406,9 +408,7 @@ func (e pairDoneEvent) Handle(k *sim.Kernel, a, b int64) {
 	qs.inFlight--
 	qs.pairs++
 	qs.bytes += int64(size)
-	sample := (k.Now() - sim.Time(b)).Nanoseconds()
-	qs.lat = append(qs.lat, sample)
-	s.lat = append(s.lat, sample)
+	qs.lat = append(qs.lat, (k.Now() - sim.Time(b)).Nanoseconds())
 	s.done++
 	if s.done == s.pairs {
 		s.endAt = k.Now()
@@ -552,10 +552,8 @@ func newRunState(k *sim.Kernel, path Path, bufDMA uint64, cfg Config, pairs int,
 		rng:     rand.New(rand.NewSource(seed)),
 		queues:  make([]queueState, cfg.Queues),
 		pairs:   pairs,
-		latPtr:  getLatBuf(),
 		closed:  cfg.Arrival.Saturating(),
 	}
-	s.lat = *s.latPtr
 	for q := range s.queues {
 		mod := cfg.Moderation
 		if cfg.PerQueue != nil {
@@ -579,7 +577,6 @@ func newRunState(k *sim.Kernel, path Path, bufDMA uint64, cfg Config, pairs int,
 
 // release returns the state's pooled buffers.
 func (s *runState) release() {
-	putLatBuf(s.latPtr, s.lat)
 	for q := range s.queues {
 		qs := &s.queues[q]
 		if qs.latPtr != nil {
@@ -604,15 +601,19 @@ func (s *runState) finished() error {
 }
 
 // collect assembles the state's Result for a run that started at
-// start. Rates use the state's own completion horizon.
-func (s *runState) collect(start sim.Time, scratch *stats.Scratch) *Result {
+// start. Rates use the state's own completion horizon. It sorts each
+// queue's latencies once, in place: the queue summaries, the endpoint
+// summary (a lone queue's, or a walk over every queue's run) and a
+// caller's aggregate over latencyRuns all read those sorted runs.
+func (s *runState) collect(start sim.Time) Result {
 	elapsed := s.endAt - start
 	secs := elapsed.Seconds()
-	res := &Result{
+	res := Result{
 		Pairs:      s.pairs,
 		Elapsed:    elapsed,
 		PPS:        float64(s.pairs) / secs,
 		OfferedPPS: s.cfg.Arrival.OfferedPPS(),
+		Queues:     make([]QueueStats, len(s.queues)),
 	}
 	var totalBytes int64
 	for q := range s.queues {
@@ -624,14 +625,26 @@ func (s *runState) collect(start sim.Time, scratch *stats.Scratch) *Result {
 			PPS:   float64(qs.pairs) / secs,
 			Gbps:  float64(qs.bytes) * 8 / secs / 1e9,
 		}
-		if len(qs.lat) > 0 {
-			st.Latency, _ = scratch.Summarize(qs.lat)
-		}
-		res.Queues = append(res.Queues, st)
+		sort.Float64s(qs.lat)
+		st.Latency, _ = stats.SummarizeRuns(qs.lat) // zero for a queue that completed nothing
+		res.Queues[q] = st
 	}
 	res.GbpsPerDirection = float64(totalBytes) * 8 / secs / 1e9
-	res.Latency, _ = scratch.Summarize(s.lat)
+	if len(s.queues) == 1 {
+		res.Latency = res.Queues[0].Latency
+	} else {
+		res.Latency, _ = stats.SummarizeRuns(s.latencyRuns(nil)...)
+	}
 	return res
+}
+
+// latencyRuns appends every queue's latencies, sorted by collect, to
+// runs.
+func (s *runState) latencyRuns(runs [][]stats.Sample) [][]stats.Sample {
+	for q := range s.queues {
+		runs = append(runs, s.queues[q].lat)
+	}
+	return runs
 }
 
 // Run drives complex with cfg's traffic until pairs packet pairs have
@@ -657,8 +670,8 @@ func Run(k *sim.Kernel, complex *rc.RootComplex, bufDMA uint64, cfg Config, pair
 	if err := s.finished(); err != nil {
 		return nil, err
 	}
-	var scratch stats.Scratch
-	return s.collect(start, &scratch), nil
+	res := s.collect(start)
+	return &res, nil
 }
 
 // EndpointResult is one endpoint's share of a multi-endpoint run.
@@ -763,9 +776,8 @@ func RunMultiKernels(kernels []*sim.Kernel, paths []Path, bases []uint64, cfg Co
 	}
 	sim.RunAll(domains, workers)
 
-	res := &MultiResult{}
-	var scratch stats.Scratch
-	var allLat []float64
+	res := &MultiResult{Endpoints: make([]EndpointResult, len(states))}
+	runs := make([][]stats.Sample, 0, len(states)*cfg.Queues)
 	var totalBytes int64
 	for i, s := range states {
 		if err := s.finished(); err != nil {
@@ -775,16 +787,16 @@ func RunMultiKernels(kernels []*sim.Kernel, paths []Path, bases []uint64, cfg Co
 			res.Elapsed = d
 		}
 		res.Pairs += s.pairs
-		allLat = append(allLat, s.lat...)
 		for q := range s.queues {
 			totalBytes += s.queues[q].bytes
 		}
-		res.Endpoints = append(res.Endpoints, EndpointResult{Endpoint: i, Result: *s.collect(now, &scratch)})
+		res.Endpoints[i] = EndpointResult{Endpoint: i, Result: s.collect(now)}
+		runs = s.latencyRuns(runs)
 	}
 	secs := res.Elapsed.Seconds()
 	res.PPS = float64(res.Pairs) / secs
 	res.GbpsPerDirection = float64(totalBytes) * 8 / secs / 1e9
-	res.Latency, _ = scratch.Summarize(allLat)
+	res.Latency, _ = stats.SummarizeRuns(runs...)
 	return res, nil
 }
 

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pciebench/internal/hostif"
@@ -66,8 +68,16 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(k, complex, buf.DMAAddr(0), Config{Queues: 8, BufferBytes: 64 << 10}, 10); err == nil {
 		t.Error("overflowing buffer accepted")
 	}
-	if _, err := Run(k, complex, buf.DMAAddr(0), Config{Sizes: FixedSize(128 << 10)}, 10); err == nil {
+	if _, err := Run(k, complex, buf.DMAAddr(0), Config{Sizes: FixedSize(4096), QueueStride: 2048}, 10); err == nil {
 		t.Error("frame larger than queue stride accepted")
+	}
+	// Frame sizes outside [1, 9216] fail validation, before any
+	// transaction runs, whichever distribution carries them.
+	for _, sz := range []int{0, -5, maxFrame + 1, 128 << 10} {
+		_, err := Run(k, complex, buf.DMAAddr(0), Config{Sizes: FixedSize(sz)}, 10)
+		if want := fmt.Sprintf("frame size %d out of", sz); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("FixedSize(%d): err = %v, want %q", sz, err, want)
+		}
 	}
 	bad := model.NIC{Name: "bad", TX: []model.Interaction{{Name: "x", Kind: model.DMARead, Bytes: 16}}}
 	if _, err := Run(k, complex, buf.DMAAddr(0), Config{Design: bad}, 10); err == nil {
