@@ -7,6 +7,12 @@
 // islands on up to as many goroutines; output is byte-identical at
 // every core count (GOMAXPROCS=N limits the CPUs used).
 //
+// -trace captures a single run's wire-exact TLP stream, every request,
+// write and completion with its simulated timestamp: it saves the
+// binary journal and prints the decoded per-packet log and a summary.
+// This is the view the paper's authors used to validate DMA engines
+// during chip bring-up (§7).
+//
 // Examples:
 //
 //	pcie-bench -list
@@ -15,6 +21,7 @@
 //	pcie-bench -system NFP6000-HSW-E3 -bench lat_rd -n 100000 -cdf
 //	pcie-bench -system NFP6000-HSW -bench bw_rdwr -json
 //	pcie-bench -bench workload -queues 4 -sizes imix -arrival poisson:4M:burst=64
+//	pcie-bench -bench lat_wrrd -transfer 300 -offset 16 -n 2 -trace run.tlpj
 //	pcie-bench -suite
 //	pcie-bench -sweeps
 //	pcie-bench -run fig9 transfer=64 mps=512
@@ -28,9 +35,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"pciebench/internal/bench"
@@ -40,6 +49,7 @@ import (
 	"pciebench/internal/sweep"
 	"pciebench/internal/sysconf"
 	"pciebench/internal/topo"
+	"pciebench/internal/trace"
 	"pciebench/internal/workload"
 )
 
@@ -96,6 +106,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		full       = fs.Bool("full", false, "paper-scale sample counts for sweeps (slower)")
 		cacheDir   = fs.String("cache-dir", "", "dedup sweep cells against an on-disk result cache in this directory")
 		nicSel     = fs.String("nic", "kernel", "workload: NIC/driver design (simple|kernel|dpdk)")
+		tracePath  = fs.String("trace", "", "single run: save endpoint 0's TLP journal to this file and print the decoded log")
 	)
 	// The remaining single-run flags reach the run only through
 	// cellKeys.
@@ -105,6 +116,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.String("pattern", "rand", "rand|seq")
 	fs.String("cache", "warm", "cold|warm|devwarm")
 	fs.Int("n", 10000, "measured transactions")
+	fs.Int("warmup", 0, "warm-up DMAs before measuring (0 = n/20, at most 2000)")
+	fs.String("buffer", "", "host DMA buffer size (K/M/G suffixes; default 64M plus a page)")
 	fs.Int("node", 0, "NUMA node for the host buffer")
 	fs.Bool("direct", false, "use the device's direct command interface")
 
@@ -177,6 +190,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Overrides: fs.Args(), Format: *format,
 		Quality: q, CacheDir: *cacheDir,
 	}
+	if *tracePath != "" && (cli.Active() || *suite) {
+		return errors.New("-trace applies to a single run")
+	}
 	if cli.Active() {
 		return cli.Execute(context.Background(), stdout, stderr)
 	}
@@ -210,11 +226,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		kv[key] = v
 	})
-	d, err := sweep.Single(kv)
+	var buf *trace.Buffer
+	var tr trace.Tracer // a nil interface unless -trace is set
+	if *tracePath != "" {
+		buf = &trace.Buffer{Limit: 10000}
+		tr = buf
+	}
+	d, err := sweep.Single(kv, tr)
 	if err != nil {
 		return err
 	}
-	return render(stdout, d, *nicSel, *cdf, *jsonOut)
+	if err := render(stdout, d, *nicSel, *cdf, *jsonOut); err != nil || buf == nil {
+		return err
+	}
+	return writeTrace(stdout, buf, *tracePath, *jsonOut)
 }
 
 // cellKeys maps each single-run flag onto the sweep cell key it sets.
@@ -226,6 +251,33 @@ var cellKeys = map[string]string{
 	"arrival": "arrival", "nic": "nic", "intrmod": "intrmod", "doorbell": "doorbell",
 	"endpoints": "endpoints", "switch": "switch", "socket": "socket", "local-buffers": "buffers",
 	"nojitter": "nojitter", "p2p": "p2p", "ber": "ber", "cto": "cto", "retrain": "retrain",
+	"buffer": "buffer", "warmup": "warmup",
+}
+
+// writeTrace saves a traced run's binary journal to path, then, unless
+// the output is JSON, prints the decoded TLP log and a summary.
+func writeTrace(w io.Writer, buf *trace.Buffer, path string, jsonOut bool) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	_, err = buf.WriteTo(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil || jsonOut {
+		return err
+	}
+	s := trace.Summarize(buf.Records)
+	fmt.Fprintf(w, "#\n%s#\n# %d TLPs (%d up / %d down), %d up bytes, %d down bytes, span %v\n",
+		trace.Dump(buf.Records), s.Records, s.UpTLPs, s.DownTLPs, s.UpBytes, s.DownBytes, s.Last-s.First)
+	for _, kind := range slices.Sorted(maps.Keys(s.ByKind)) {
+		fmt.Fprintf(w, "#   %-4s x%d\n", kind, s.ByKind[kind])
+	}
+	if buf.Dropped > 0 {
+		fmt.Fprintf(w, "# %d records dropped (limit %d)\n", buf.Dropped, buf.Limit)
+	}
+	return nil
 }
 
 // render prints a single run: a header naming the benchmark, system

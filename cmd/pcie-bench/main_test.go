@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -151,6 +153,13 @@ func TestSpecFile(t *testing.T) {
 	}
 	if _, err := runCLI(t, "-spec", filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing spec file accepted")
+	}
+}
+
+func TestHelpIsNotAnError(t *testing.T) {
+	// -h must exit 0: main treats flag.ErrHelp as success.
+	if _, err := runCLI(t, "-h"); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h returned %v, want flag.ErrHelp", err)
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -56,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		out      = fs.String("out", "repro-out", "output directory for TSV series")
 		full     = fs.Bool("full", false, "paper-scale sample counts (slower)")
-		only     = fs.String("only", "", "run a single experiment (fig1..fig9, table1, table2)")
+		only     = fs.String("only", "", "run only the experiments whose id starts with this (e.g. fig4, table2, ablations)")
 		list     = fs.Bool("list", false, "list registered sweeps and exit")
 		runName  = fs.String("run", "", "run one registered sweep; remaining args override axes (e.g. gen=4,5 lanes=16)")
 		specPath = fs.String("spec", "", "run a custom sweep from a JSON spec file; remaining args override axes")
@@ -101,12 +102,10 @@ func faultArgs(ber, cto, retrain string) []string {
 	return overrides
 }
 
-// reproduce regenerates the paper's figures and tables into dir.
+// reproduce regenerates the paper's figures and tables into dir: all
+// of them, or those whose id starts with a non-empty only, followed by
+// the paper-versus-measured summary.
 func reproduce(dir, only string, q report.Quality, stdout io.Writer) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-
 	type experiment struct {
 		id  string
 		run func() error
@@ -179,6 +178,16 @@ func reproduce(dir, only string, q report.Quality, stdout io.Writer) error {
 		}},
 	}
 
+	var ids []string
+	for _, e := range experiments {
+		ids = append(ids, e.id)
+	}
+	if only != "" && !slices.ContainsFunc(ids, func(id string) bool { return strings.HasPrefix(id, only) }) {
+		return fmt.Errorf("-only %q names no experiment (ids: %s)", only, strings.Join(ids, " "))
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
 	for _, e := range experiments {
 		if only != "" && !strings.HasPrefix(e.id, only) && e.id != "expect" {
 			continue

@@ -125,6 +125,20 @@ func TestReproduceSingleExperiment(t *testing.T) {
 	}
 }
 
+// TestOnlyRejectsUnknownID: an -only value that no experiment id
+// starts with fails up front, naming the ids, instead of measuring
+// every figure for the expectations table and exiting 0.
+func TestOnlyRejectsUnknownID(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "out")
+	_, err := runCLI(t, "-only", "fig3", "-out", dir)
+	if err == nil || !strings.Contains(err.Error(), "fig4") {
+		t.Fatalf("-only fig3 returned %v, want an error listing the ids", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("-only fig3 created the output directory (stat: %v)", err)
+	}
+}
+
 // TestFaultFlagOverrides: -ber/-cto/-retrain translate to validated
 // axis overrides for -run/-spec, and bad values fail fast.
 func TestFaultFlagOverrides(t *testing.T) {

@@ -500,6 +500,37 @@ func TestMaxBodyLimit(t *testing.T) {
 	waitState(t, ts, sub.ID, StateDone)
 }
 
+// TestOversizedGrid: a few kilobytes of axes naming 10^10 cells get a
+// 400 naming the measurement bound before any cell is expanded, and the
+// server goes on serving.
+func TestOversizedGrid(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	values := make([]string, 100)
+	for i := range values {
+		values[i] = fmt.Sprint(i + 1)
+	}
+	spec := sweep.Spec{Name: "huge"}
+	for _, key := range []string{"transfer", "window", "offset", "n", "seed"} {
+		spec.Axes = append(spec.Axes, sweep.Axis{Name: key, Values: values})
+	}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "measurements") {
+		t.Fatalf("%d-byte 10^10-cell grid: %d %s (want 400 naming the bound)", len(body), resp.StatusCode, raw)
+	}
+
+	sub := submit(t, ts, testSpec, "")
+	waitState(t, ts, sub.ID, StateDone)
+}
+
 // TestJobTimeout: a job that overruns the configured wall-clock
 // deadline is cancelled, reported with the dedicated "timeout" state
 // (distinct from a client cancel), and its results answer 504.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pciebench/internal/cache"
+	"pciebench/internal/trace"
 )
 
 // engineSpec is a small two-axis grid for cache-accounting tests:
@@ -396,7 +397,7 @@ func TestSingleMatchesEngine(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.workers))
-			d, err := Single(tc.kv)
+			d, err := Single(tc.kv, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -432,5 +433,37 @@ func TestSingleMatchesEngine(t *testing.T) {
 				t.Errorf("single run measured\n%s\nthe engine cell\n%s", got, want)
 			}
 		})
+	}
+}
+
+// TestSingleTrace: a tracer handed to Single records the run's TLPs
+// without changing its measurement, and a fabric or p2p run, whose
+// other links the tracer would miss, is refused.
+func TestSingleTrace(t *testing.T) {
+	kv := map[string]string{"bench": "lat_wrrd", "window": "8K", "transfer": "300", "cache": "warm", "n": "50", "seed": "1"}
+	plain, err := Single(kv, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := &trace.Buffer{}
+	traced, err := Single(kv, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := trace.Summarize(buf.Records); s.UpTLPs == 0 || s.DownTLPs == 0 {
+		t.Errorf("trace recorded %d up and %d down TLPs, want both directions", s.UpTLPs, s.DownTLPs)
+	}
+	got, _ := json.Marshal(traced.Meas)
+	want, _ := json.Marshal(plain.Meas)
+	if !bytes.Equal(got, want) {
+		t.Errorf("traced run measured\n%s\nthe untraced run\n%s", got, want)
+	}
+	for _, kv := range []map[string]string{
+		{"bench": "p2p", "transfer": "256", "n": "10"},
+		{"bench": "workload", "endpoints": "2", "n": "10"},
+	} {
+		if _, err := Single(kv, &trace.Buffer{}); err == nil {
+			t.Errorf("traced %v accepted", kv)
+		}
 	}
 }

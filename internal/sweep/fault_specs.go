@@ -4,7 +4,7 @@ package sweep
 // source paper never ran (see internal/fault). Registered here so the
 // CLIs, the service and CI all share one definition; the JSON mirror
 // in examples/sweeps/ber-goodput.json drives the same grid through
-// the wire format.
+// the wire format (TestBerGoodputSpecMirrorsRegistered).
 func init() {
 	Register(&Spec{
 		Name:  "ber-goodput",

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -12,6 +13,7 @@ import (
 	"pciebench/internal/stats"
 	"pciebench/internal/sysconf"
 	"pciebench/internal/topo"
+	"pciebench/internal/trace"
 	"pciebench/internal/workload"
 )
 
@@ -264,6 +266,8 @@ type Detail struct {
 	// Fabric is the fabric the run simulated (a single-endpoint
 	// instance's own fabric included).
 	Fabric *topo.Fabric
+	// tracer, when set, records the run's TLPs on endpoint 0's link.
+	tracer trace.Tracer
 }
 
 // keep records a run's result and fabric; a nil Detail, as every
@@ -279,13 +283,18 @@ func (d *Detail) keep(res any, fab *topo.Fabric) {
 // cell it resolves no grid, mixes no seed and takes n as given: n=0
 // fails rather than resolving from a quality level. A workload fabric
 // runs its islands on up to GOMAXPROCS goroutines, and switches sample
-// their arbitration waits; neither ever changes a result.
-func Single(kv map[string]string) (*Detail, error) {
+// their arbitration waits; neither ever changes a result. A non-nil tr
+// receives every TLP of the run's link; it reaches only the root
+// complex's port 0, so a fabric or p2p run with a tracer fails.
+func Single(kv map[string]string, tr trace.Tracer) (*Detail, error) {
 	cfg, err := resolveRunnable(kv)
 	if err != nil {
 		return nil, err
 	}
-	d := &Detail{Config: cfg}
+	if tr != nil && cfg.usesFabric() {
+		return nil, errors.New("sweep: a TLP trace covers endpoint 0's link only, so a multi-endpoint or p2p run cannot be traced")
+	}
+	d := &Detail{Config: cfg, tracer: tr}
 	if d.Meas, err = measure(cfg, nil, false, runtime.GOMAXPROCS(0), d); err != nil {
 		return nil, err
 	}
@@ -295,7 +304,8 @@ func Single(kv map[string]string) (*Detail, error) {
 // measure runs one benchmark. A non-nil shared instance is reused
 // (probe order is then the simulation order); otherwise the probe
 // builds its own fresh instance, like the paper's per-point runs. A
-// non-nil d receives the run's result and fabric.
+// non-nil d receives the run's result and fabric, and its tracer the
+// fresh instance's TLPs.
 func measure(cfg Config, shared *sysconf.Instance, wantCDF bool, workers int, d *Detail) (Measurement, error) {
 	if shared == nil && cfg.usesFabric() {
 		return measureFabric(cfg, workers, d)
@@ -306,6 +316,9 @@ func measure(cfg Config, shared *sysconf.Instance, wantCDF bool, workers int, d 
 		inst, err = buildInstance(cfg)
 		if err != nil {
 			return Measurement{}, err
+		}
+		if d != nil {
+			inst.RC.SetTracer(d.tracer)
 		}
 	}
 	m, err := measureInstance(inst, cfg, wantCDF, d)

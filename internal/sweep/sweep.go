@@ -768,6 +768,10 @@ func resolveConfig(kv map[string]string) (Config, error) {
 	return cfg, nil
 }
 
+// MaxMeasurements bounds a valid grid's cells x probes (doubled under
+// contrast): 30x the 2,160-cell pcie-bench -suite.
+const MaxMeasurements = 1 << 16
+
 // Count returns how many cells the grid expands to.
 func (s *Spec) Count() int {
 	n := 1
@@ -947,6 +951,18 @@ func (s *Spec) Validate() error {
 				}
 			}
 		}
+	}
+	// Bound the grid before expanding it: a few kilobytes of axes can
+	// name more cells than memory holds, or overflow Count.
+	n := len(s.probes())
+	if s.Contrast != nil {
+		n *= 2
+	}
+	for _, a := range s.Axes {
+		if n > MaxMeasurements || len(a.Values) > MaxMeasurements/n {
+			return fmt.Errorf("sweep: spec %q: grid exceeds %d measurements (cells x probes, x2 under contrast)", s.Name, MaxMeasurements)
+		}
+		n *= len(a.Values)
 	}
 	for _, c := range s.Cells() {
 		for pi, p := range s.probes() {

@@ -3,6 +3,8 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -273,6 +275,48 @@ func TestValidateErrors(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%s spec without n rejected: %v", kind, err)
 		}
+	}
+}
+
+// TestMeasurementBound: Validate rejects a grid of more than
+// MaxMeasurements cells x probes (doubled under contrast) before
+// expanding it, and without overflowing the count.
+func TestMeasurementBound(t *testing.T) {
+	axes := func(keys []string, n int) []Axis {
+		var out []Axis
+		for _, k := range keys {
+			a := Axis{Name: k}
+			for v := 1; v <= n; v++ {
+				a.Values = append(a.Values, strconv.Itoa(v))
+			}
+			out = append(out, a)
+		}
+		return out
+	}
+	over := map[string]*Spec{
+		// 10^10 cells from a few kilobytes of JSON.
+		"five 100-value axes": {Name: "t", Axes: axes([]string{"transfer", "window", "offset", "n", "seed"}, 100)},
+		// 3^41 cells: Count overflows int64.
+		"every key, 3 values": {Name: "t", Axes: axes(knownKeys, 3)},
+		"one cell too many":   {Name: "t", Axes: axes([]string{"n"}, MaxMeasurements+1)},
+		"probes count":        {Name: "t", Axes: axes([]string{"n"}, MaxMeasurements/2+1), Probes: []Probe{{}, {}}},
+		"contrast doubles": {Name: "t", Axes: axes([]string{"n"}, MaxMeasurements/2+1),
+			Contrast: &Contrast{Set: map[string]string{"node": "1"}}},
+	}
+	want := fmt.Sprintf("exceeds %d measurements", MaxMeasurements)
+	for name, s := range over {
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Validate returned %v, want the bound error", name, err)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	// Exactly at the bound: 16,384 cells x 2 probes x 2 under contrast.
+	s := &Spec{Name: "t", Axes: axes([]string{"n"}, MaxMeasurements/4), Probes: []Probe{{}, {}},
+		Base: map[string]string{"window": "8K", "transfer": "64"}, Contrast: &Contrast{Set: map[string]string{"cache": "cold"}}}
+	if err := s.Validate(); err != nil {
+		t.Errorf("grid at the bound rejected: %v", err)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package tlp implements PCI Express Transaction Layer Packets: the
-// wire codec behind traced runs (pcie-trace) and the reference
+// wire codec behind traced runs (pcie-bench -trace) and the reference
 // splitters for DMA transfer sizing.
 //
 // The package provides spec-faithful binary encoding and decoding for the
