@@ -1,7 +1,7 @@
 // Package pciebench's top-level benchmarks regenerate each table and
 // figure of the paper's evaluation as a testing.B target, reporting the
-// headline metric of the artifact via b.ReportMetric. The per-experiment
-// index in DESIGN.md maps every benchmark to its figure.
+// headline metric of the artifact via b.ReportMetric. Each benchmark is
+// named after the figure, table or ablation it regenerates.
 //
 // Run all of them with:
 //
@@ -271,7 +271,7 @@ func BenchmarkTable2_Findings(b *testing.B) {
 	b.ReportMetric(float64(rows), "findings")
 }
 
-// ---- Ablation benchmarks: the design choices DESIGN.md calls out ----
+// ---- Ablation benchmarks: one mechanism varied at a time ----
 
 // BenchmarkAblation_MPS quantifies how the negotiated Maximum Payload
 // Size changes effective bidirectional bandwidth at 1500B.

@@ -3,8 +3,9 @@
 // and 2. TSV series suitable for gnuplot are written to the output
 // directory; tables and a paper-versus-measured summary go to stdout.
 //
-// Every measured experiment is a declarative sweep (internal/sweep),
-// so the same grids — and entirely new ones — also run standalone:
+// Every figure is a declarative sweep (internal/sweep), Figure 1's
+// analytical model included as model=true cells, so the same grids —
+// and entirely new ones — also run standalone:
 //
 //	pcie-repro                      # quick run into ./repro-out
 //	pcie-repro -full -out dir       # paper-scale sample counts
@@ -12,6 +13,7 @@
 //	pcie-repro -list                # registered sweeps
 //	pcie-repro -run fig4 gen=4,5    # a registered sweep with axis overrides
 //	pcie-repro -spec my.json -format csv  # a fully custom grid from JSON
+//	pcie-repro -spec examples/sweeps/nic-model.json -format tsv gen=4 lanes=16  # the model's curves
 //
 // Experiment points run on a GOMAXPROCS-wide worker pool, and a
 // multi-endpoint fabric cell runs its islands on up to as many
@@ -146,7 +148,7 @@ func reproduce(dir, only string, q report.Quality, stdout io.Writer) error {
 	figs := report.NewFigures(q)
 	experiments := []experiment{
 		{"table1", func() error { return writeTable("table1", report.Table1(), nil) }},
-		{"fig1", func() error { return writeFig(report.Fig1()) }},
+		{"fig1", func() error { return writeFigErr(figs.Fig1()) }},
 		{"fig2", func() error { return writeFigErr(figs.Fig2()) }},
 		{"fig4", func() error { return writeFigs(figs.Fig4()) }},
 		{"fig5", func() error { return writeFigErr(figs.Fig5()) }},
@@ -156,17 +158,10 @@ func reproduce(dir, only string, q report.Quality, stdout io.Writer) error {
 		{"fig9", func() error { return writeFigErr(figs.Fig9()) }},
 		{"table2", func() error { t, err := report.Table2(figs); return writeTable("table2", t, err) }},
 		{"ablations", func() error {
-			if err := writeFig(report.AblationMPS()); err != nil {
-				return err
-			}
 			for _, run := range []func(report.Quality) (*report.Figure, error){
-				report.AblationGen4, report.AblationWalkers, report.AblationInFlight,
+				report.AblationMPS, report.AblationGen4, report.AblationWalkers, report.AblationInFlight,
 			} {
-				fig, err := run(q)
-				if err != nil {
-					return err
-				}
-				if err := writeFig(fig); err != nil {
+				if err := writeFigErr(run(q)); err != nil {
 					return err
 				}
 			}

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -14,6 +17,13 @@ func runCLI(t *testing.T, args ...string) (string, error) {
 	var stdout, stderr bytes.Buffer
 	err := run(args, &stdout, &stderr)
 	return stdout.String(), err
+}
+
+func TestHelpIsNotAnError(t *testing.T) {
+	// -h must exit 0: main treats flag.ErrHelp as success.
+	if _, err := runCLI(t, "-h"); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h returned %v, want flag.ErrHelp", err)
+	}
 }
 
 func TestListSweeps(t *testing.T) {
@@ -159,6 +169,77 @@ func TestFaultFlagOverrides(t *testing.T) {
 	} {
 		if err := run(bad, &stdout, &stderr); err == nil {
 			t.Errorf("%v accepted", bad)
+		}
+	}
+}
+
+// nicModelSpec is the analytical model's curves as a spec file.
+const nicModelSpec = "../../examples/sweeps/nic-model.json"
+
+// rows parses TSV output into its data rows (comment lines dropped),
+// keeping the first n fields of each.
+func rows(out string, n int) [][]string {
+	var rows [][]string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			rows = append(rows, strings.Split(line, "\t")[:n])
+		}
+	}
+	return rows
+}
+
+// TestNICModelMatchesPcieModel: nic-model.json prints the six curves
+// of the removed pcie-model command, value for value. The testdata
+// files are that command's output for the three runs named after them
+// (its defaults, "-gen 4 -lanes 16 -mps 128 -mrrs 256" and "-gen 1
+// -lanes 1 -sizes 1,63,257,4096,9216"); each run's flags map to the
+// overrides below. Its trailing 40eth column has no counterpart.
+func TestNICModelMatchesPcieModel(t *testing.T) {
+	for _, run := range []struct {
+		file      string
+		overrides []string
+	}{
+		{"default.tsv", nil},
+		{"gen4-x16-mps128-mrrs256.tsv", []string{"gen=4", "lanes=16", "mps=128", "mrrs=256"}},
+		{"gen1-x1-sizes.tsv", []string{"gen=1", "lanes=1", "transfer=1,63,257,4096,9216"}},
+	} {
+		t.Run(run.file, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "pcie-model", run.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := runCLI(t, append([]string{"-spec", nicModelSpec, "-format", "tsv"}, run.overrides...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// pcie-model's column header is its second comment line.
+			header := strings.Split(strings.Split(string(want), "\n")[1], "\t")[1:7]
+			g, w := rows(got, 7), rows(string(want), 7)
+			if !slices.Equal(g[0][1:], header) {
+				t.Errorf("columns %v, pcie-model's %v", g[0][1:], header)
+			}
+			if g = g[1:]; len(g) != len(w) {
+				t.Fatalf("%d rows, pcie-model printed %d", len(g), len(w))
+			}
+			for i := range w {
+				if !slices.Equal(g[i], w[i]) {
+					t.Errorf("row %d: %v, pcie-model printed %v", i, g[i], w[i])
+				}
+			}
+		})
+	}
+}
+
+// TestNICModelErrors: the link and size values pcie-model rejected
+// fail as overrides of nic-model.json, as do NIC-design frames above
+// the 9,216 B jumbo frame.
+func TestNICModelErrors(t *testing.T) {
+	for _, override := range []string{
+		"gen=9", "lanes=3", "mps=100", "mrrs=8K", "transfer=64,zero",
+		"transfer=-5", "transfer=0", "transfer=9217", "nic=quantum", "stray-arg",
+	} {
+		if _, err := runCLI(t, "-spec", nicModelSpec, override); err == nil {
+			t.Errorf("override %s accepted", override)
 		}
 	}
 }

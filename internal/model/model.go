@@ -4,9 +4,11 @@
 // PCIe transaction lists.
 //
 // Everything here is closed-form arithmetic over the wire-size
-// accounting in internal/pcie; no simulation is involved. The simulator
-// (internal/rc + internal/bench) measures the same quantities the hard
-// way, and the two are cross-validated in the report tests.
+// accounting in internal/pcie; no simulation is involved. A sweep cell
+// with model=true reports these values for its link and NIC design
+// (internal/sweep), so one grid can set model and simulator side by
+// side; the workload and nicsim tests hold simulated throughput to
+// them within a tolerance.
 package model
 
 import (
@@ -50,11 +52,7 @@ func EffectiveBidirBandwidth(cfg pcie.LinkConfig, sz int) float64 {
 	}
 	up := cfg.WriteBytes(sz) + cfg.ReadRequestBytes(sz)
 	down := cfg.ReadCompletionBytes(sz)
-	binding := up
-	if down > binding {
-		binding = down
-	}
-	pairRate := cfg.TLPBandwidth() / 8 / float64(binding) // pairs per second
+	pairRate := cfg.TLPBandwidth() / 8 / float64(max(up, down)) // pairs per second
 	return pairRate * float64(sz) * 8
 }
 
@@ -70,14 +68,6 @@ func EthernetLineRate(linkRate float64, frameSz int) float64 {
 		frameSz = 64 // minimum frame, padded
 	}
 	return linkRate * float64(frameSz) / float64(frameSz+ethernetOverhead)
-}
-
-// EthernetFrameRate returns frames/s at line rate.
-func EthernetFrameRate(linkRate float64, frameSz int) float64 {
-	if frameSz < 64 {
-		frameSz = 64
-	}
-	return linkRate / 8 / float64(frameSz+ethernetOverhead)
 }
 
 // Direction of a PCIe transaction's initiator.
@@ -204,16 +194,7 @@ func (n NIC) PerPacketWireBytes(cfg pcie.LinkConfig, pktSz int) (up, down float6
 // design achieves for pktSz-byte packets: the packet-pair rate is bound
 // by the busier link direction.
 func (n NIC) Bandwidth(cfg pcie.LinkConfig, pktSz int) float64 {
-	if pktSz <= 0 {
-		return 0
-	}
-	up, down := n.PerPacketWireBytes(cfg, pktSz)
-	binding := up
-	if down > binding {
-		binding = down
-	}
-	pairRate := cfg.TLPBandwidth() / 8 / binding
-	return pairRate * float64(pktSz) * 8
+	return n.PacketRate(cfg, pktSz) * float64(pktSz) * 8
 }
 
 // PacketRate returns full-duplex packet pairs per second for pktSz.
@@ -222,11 +203,7 @@ func (n NIC) PacketRate(cfg pcie.LinkConfig, pktSz int) float64 {
 		return 0
 	}
 	up, down := n.PerPacketWireBytes(cfg, pktSz)
-	binding := up
-	if down > binding {
-		binding = down
-	}
-	return cfg.TLPBandwidth() / 8 / binding
+	return cfg.TLPBandwidth() / 8 / max(up, down)
 }
 
 // Descriptor and doorbell sizes used by the models (paper §3).

@@ -3,42 +3,43 @@ package report
 import (
 	"fmt"
 
-	"pciebench/internal/model"
 	"pciebench/internal/pcie"
 	"pciebench/internal/stats"
 	"pciebench/internal/sweep"
 )
 
-// Ablation experiments: the design choices DESIGN.md calls out, each
-// varied in isolation to show which mechanism carries which paper
-// result. They extend the paper's evaluation rather than reproduce a
-// specific figure.
+// Ablation experiments: MPS, link generation, the IOMMU's page walkers
+// and the device's in-flight DMA limit, each varied in isolation to
+// show which mechanism carries which paper result. They extend the
+// paper's evaluation rather than reproduce a specific figure.
 //
-// The simulated ablations are sweep specs run by the sweep engine, like
-// the paper figures, but they are not registered: each is a pcie-repro
+// The ablations are sweep specs run by the sweep engine, like the
+// paper figures, but they are not registered: each is a pcie-repro
 // figure, not a grid of the sweep registry.
 
 // AblationMPS sweeps the negotiated Maximum Payload Size through the
-// analytical model: the saw-tooth period and the achievable large-
-// transfer bandwidth both follow MPS, which is why the paper's model
-// takes it as an explicit parameter.
-func AblationMPS() *Figure {
+// analytical model (model=true cells): the saw-tooth period and the
+// achievable large-transfer bandwidth both follow MPS, which is why
+// the paper's model takes it as an explicit parameter.
+func AblationMPS(q Quality) (*Figure, error) {
+	res, err := runSpec(&sweep.Spec{
+		Name: "ablation-mps",
+		Axes: []sweep.Axis{sweep.IntAxis("mps", 128, 256, 512), sweep.IntAxis("transfer", steps(64, 1520, 16)...)},
+		Base: map[string]string{"bench": "bw_rdwr", "model": "true"},
+	}, q)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID:     "ablation-mps",
 		Title:  "Effective bidirectional bandwidth vs MPS (model)",
 		XLabel: "Transfer Size (Bytes)",
 		YLabel: "Bandwidth (Gb/s)",
 	}
-	for _, mps := range []int{128, 256, 512} {
-		cfg := pcie.DefaultGen3x8()
-		cfg.MPS = mps
-		s := &stats.Series{Name: fmt.Sprintf("MPS=%d", mps)}
-		for sz := 64; sz <= 1520; sz += 16 {
-			s.Append(float64(sz), model.EffectiveBidirBandwidth(cfg, sz)/1e9)
-		}
-		fig.Series = append(fig.Series, s)
+	for _, c := range res.Cells {
+		fig.series("MPS="+c.Cell.Get("mps")).Append(float64(c.Cell.Int("transfer")), c.Values[0])
 	}
-	return fig
+	return fig, nil
 }
 
 // ablationSpec is the shape the simulated ablations share: warm-cache
@@ -70,16 +71,17 @@ func ablationFigure(s *sweep.Spec, q Quality, fig *Figure, series string) (*Figu
 // AblationGen4 projects the paper's baseline read bandwidth onto a
 // PCIe Gen4 x8 link — the configuration §6 anticipates ("including the
 // next generation PCIe Gen 4 once hardware is available"). Both the
-// model curve and the simulated NFP are reported; at Gen4's doubled
-// signalling rate the small-transfer region becomes latency-bound
-// rather than link-bound, which is the projection's takeaway.
+// simulated NFP and the model curve (a second, model=true probe of
+// each cell) are reported; at Gen4's doubled signalling rate the
+// small-transfer region becomes latency-bound rather than link-bound,
+// which is the projection's takeaway.
 func AblationGen4(q Quality) (*Figure, error) {
-	gens := []pcie.Generation{pcie.Gen3, pcie.Gen4}
-	sizes := []int{64, 128, 256, 512, 1024, 2048}
-	res, err := runSpec(ablationSpec("ablation-gen4", "61",
+	s := ablationSpec("ablation-gen4", "61",
 		map[string]string{"system": "NFP6000-HSW", "buffer": "1M", "window": "8K"},
 		sweep.IntAxis("gen", int(pcie.Gen3), int(pcie.Gen4)),
-		sweep.IntAxis("transfer", sizes...)), q)
+		sweep.IntAxis("transfer", 64, 128, 256, 512, 1024, 2048))
+	s.Probes = []sweep.Probe{{}, {Set: map[string]string{"model": "true"}}}
+	res, err := runSpec(s, q)
 	if err != nil {
 		return nil, err
 	}
@@ -89,19 +91,10 @@ func AblationGen4(q Quality) (*Figure, error) {
 		XLabel: "Transfer Size (Bytes)",
 		YLabel: "Bandwidth (Gb/s)",
 	}
-	measOf := make(map[pcie.Generation]*stats.Series)
-	for _, gen := range gens {
-		link := pcie.DefaultGen3x8()
-		link.Gen = gen
-		mdl := &stats.Series{Name: fmt.Sprintf("Model BW (%s)", gen)}
-		for _, sz := range sizes {
-			mdl.Append(float64(sz), model.EffectiveReadBandwidth(link, sz)/1e9)
-		}
-		measOf[gen] = &stats.Series{Name: fmt.Sprintf("BW_RD (%s)", gen)}
-		fig.Series = append(fig.Series, mdl, measOf[gen])
-	}
 	for _, c := range res.Cells {
-		measOf[pcie.Generation(c.Cell.Int("gen"))].Append(float64(c.Cell.Int("transfer")), c.Values[0])
+		gen, x := pcie.Generation(c.Cell.Int("gen")), float64(c.Cell.Int("transfer"))
+		fig.series(fmt.Sprintf("Model BW (%s)", gen)).Append(x, c.Values[1])
+		fig.series(fmt.Sprintf("BW_RD (%s)", gen)).Append(x, c.Values[0])
 	}
 	return fig, nil
 }

@@ -5,7 +5,10 @@ import (
 )
 
 func TestAblationMPS(t *testing.T) {
-	fig := AblationMPS()
+	fig, err := AblationMPS(Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(fig.Series) != 3 {
 		t.Fatalf("series = %d", len(fig.Series))
 	}

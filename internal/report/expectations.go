@@ -19,9 +19,11 @@ type Expectation struct {
 
 // Expectations compares the key quantities the paper reports against
 // the measured values of every figure in figs, producing the table
-// recorded in EXPERIMENTS.md. A row is marked ok when the measured
-// value falls within the stated tolerance of the paper's figure; rows
-// that deviate are kept visible rather than hidden.
+// pcie-repro writes as expectations.tsv (quick-quality golden:
+// cmd/pcie-repro/testdata/quick/expectations.tsv). A row is marked ok
+// when the measured value falls within the stated tolerance of the
+// paper's figure; rows that deviate are kept visible rather than
+// hidden.
 func Expectations(figs *Figures) (*Table, error) {
 	t := &Table{
 		Title:   "Paper vs measured (tolerances are on shape, not testbed-absolute values)",
@@ -35,7 +37,10 @@ func Expectations(figs *Figures) (*Table, error) {
 	}
 
 	// Figure 1 (analytical).
-	fig1 := Fig1()
+	fig1, err := figs.Fig1()
+	if err != nil {
+		return nil, err
+	}
 	add("fig1", "effective bidir BW @1500B", "~50 Gb/s",
 		fig1.SeriesByName("Effective PCIe BW").YAt(1500), " Gb/s", 48, 53)
 	cross := crossover(fig1)

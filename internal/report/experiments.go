@@ -37,42 +37,63 @@ func runSpec(s *sweep.Spec, q Quality) (*sweep.Result, error) {
 	return res, err
 }
 
-// Fig1 computes the modeled bidirectional bandwidth of a Gen3 x8 link
+// steps returns lo, lo+step, ... up to hi: the transfer sizes of
+// Figures 1 and 2.
+func steps(lo, hi, step int) []int {
+	var sizes []int
+	for sz := lo; sz <= hi; sz += step {
+		sizes = append(sizes, sz)
+	}
+	return sizes
+}
+
+// fig1Spec evaluates Figure 1's model as model=true cells: the link's
+// effective bidirectional bandwidth, then the per-direction bandwidth
+// of the simple, kernel and DPDK designs.
+func fig1Spec() *sweep.Spec {
+	probes := []sweep.Probe{{Set: map[string]string{"bench": "bw_rdwr"}}}
+	for _, nic := range []string{"simple", "kernel", "dpdk"} {
+		probes = append(probes, sweep.Probe{
+			Set:    map[string]string{"bench": "workload", "nic": nic},
+			Metric: sweep.MetricGbps,
+		})
+	}
+	return &sweep.Spec{
+		Name:   "fig1",
+		Axes:   []sweep.Axis{sweep.IntAxis("transfer", steps(64, 1520, 16)...)},
+		Base:   map[string]string{"model": "true"},
+		Probes: probes,
+	}
+}
+
+// Fig1 evaluates the modeled bidirectional bandwidth of a Gen3 x8 link
 // against the achievable throughput of the paper's NIC/driver designs
-// (§2, Figure 1).
-func Fig1() *Figure {
-	cfg := pcie.DefaultGen3x8()
+// (§2, Figure 1), with the 40G Ethernet line for reference.
+func Fig1(q Quality) (*Figure, error) {
+	res, err := runSpec(fig1Spec(), q)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID:     "fig1",
 		Title:  "Modeled bidirectional bandwidth, PCIe Gen3 x8",
 		XLabel: "Transfer Size (Bytes)",
 		YLabel: "Bandwidth (Gb/s)",
 	}
-	eff := &stats.Series{Name: "Effective PCIe BW"}
-	eth := &stats.Series{Name: "40G Ethernet"}
-	simple := &stats.Series{Name: "Simple NIC"}
-	kernel := &stats.Series{Name: "Modern NIC (kernel driver)"}
-	dpdk := &stats.Series{Name: "Modern NIC (DPDK driver)"}
-	simpleNIC, kernelNIC, dpdkNIC := model.SimpleNIC(), model.ModernNICKernel(), model.ModernNICDPDK()
-	for sz := 64; sz <= 1520; sz += 16 {
-		x := float64(sz)
-		eff.Append(x, model.EffectiveBidirBandwidth(cfg, sz)/1e9)
-		eth.Append(x, model.EthernetLineRate(40e9, sz)/1e9)
-		simple.Append(x, simpleNIC.Bandwidth(cfg, sz)/1e9)
-		kernel.Append(x, kernelNIC.Bandwidth(cfg, sz)/1e9)
-		dpdk.Append(x, dpdkNIC.Bandwidth(cfg, sz)/1e9)
+	for _, name := range []string{
+		"Effective PCIe BW", "40G Ethernet",
+		"Simple NIC", "Modern NIC (kernel driver)", "Modern NIC (DPDK driver)",
+	} {
+		fig.Series = append(fig.Series, &stats.Series{Name: name})
 	}
-	fig.Series = []*stats.Series{eff, eth, simple, kernel, dpdk}
-	return fig
-}
-
-// fig2Sizes returns the Figure 2 frame-size sweep (64..1600 step 64).
-func fig2Sizes() []int {
-	var sizes []int
-	for sz := 64; sz <= 1600; sz += 64 {
-		sizes = append(sizes, sz)
+	for _, c := range res.Cells {
+		sz := c.Cell.Int("transfer")
+		ys := append([]float64{c.Values[0], model.EthernetLineRate(40e9, sz) / 1e9}, c.Values[1:]...)
+		for i, y := range ys {
+			fig.Series[i].Append(float64(sz), y)
+		}
 	}
-	return sizes
+	return fig, nil
 }
 
 func fig2Spec() *sweep.Spec {
@@ -83,7 +104,7 @@ func fig2Spec() *sweep.Spec {
 		XAxis:       "transfer",
 		XLabel:      "Transfer Size (Bytes)",
 		YLabel:      "Median Latency (ns)",
-		Axes:        []sweep.Axis{sweep.IntAxis("transfer", fig2Sizes()...)},
+		Axes:        []sweep.Axis{sweep.IntAxis("transfer", steps(64, 1600, 64)...)},
 		Base: map[string]string{
 			"system": "NFP6000-HSW", "bench": "loopback",
 			"buffer": "1M", "nojitter": "true",
@@ -490,9 +511,9 @@ func ddioSpec() *sweep.Spec {
 // Expectations) reuse the figures a run already has instead of
 // re-running their sweeps.
 type Figures struct {
-	q                            Quality
-	Fig2, Fig5, Fig6, Fig8, Fig9 func() (*Figure, error)
-	Fig4, Fig7                   func() ([]*Figure, error)
+	q                                  Quality
+	Fig1, Fig2, Fig5, Fig6, Fig8, Fig9 func() (*Figure, error)
+	Fig4, Fig7                         func() ([]*Figure, error)
 }
 
 // NewFigures returns a figure set measured at quality q, with nothing
@@ -500,7 +521,7 @@ type Figures struct {
 func NewFigures(q Quality) *Figures {
 	return &Figures{
 		q:    q,
-		Fig2: once(q, Fig2), Fig4: once(q, Fig4), Fig5: once(q, Fig5), Fig6: once(q, Fig6),
+		Fig1: once(q, Fig1), Fig2: once(q, Fig2), Fig4: once(q, Fig4), Fig5: once(q, Fig5), Fig6: once(q, Fig6),
 		Fig7: once(q, Fig7), Fig8: once(q, Fig8), Fig9: once(q, Fig9),
 	}
 }

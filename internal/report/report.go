@@ -3,10 +3,12 @@
 // tables and gnuplot-ready TSV series.
 //
 // Each experiment function corresponds to one artifact (Fig1..Fig9,
-// Table1, Table2); the per-experiment index in DESIGN.md maps them to
-// the modules they exercise. EXPERIMENTS.md records paper-reported
-// versus measured values; the tests in this package assert the shape
-// invariants that record claims.
+// Table1, Table2) and, Table1 aside, runs sweep specs on the sweep
+// engine (README "Declarative sweeps"). Expectations tabulates
+// paper-reported versus measured values; pcie-repro writes it as
+// expectations.tsv, whose quick-quality golden is
+// cmd/pcie-repro/testdata/quick/expectations.tsv. The tests in this
+// package assert the shape invariants that table claims.
 package report
 
 import (
@@ -117,6 +119,17 @@ func (f *Figure) SeriesByName(name string) *stats.Series {
 		}
 	}
 	return nil
+}
+
+// series returns the named series, appending it to the figure first
+// if it is new, so series appear in the order cells first name them.
+func (f *Figure) series(name string) *stats.Series {
+	s := f.SeriesByName(name)
+	if s == nil {
+		s = &stats.Series{Name: name}
+		f.Series = append(f.Series, s)
+	}
+	return s
 }
 
 // transferSizes returns the paper's Fig 4 sweep: powers of two from 64

@@ -37,7 +37,10 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestFigureTSV(t *testing.T) {
-	fig := Fig1()
+	fig, err := quick.Fig1()
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := fig.TSV()
 	for _, want := range []string{"# fig1", "Effective PCIe BW", "Simple NIC"} {
 		if !strings.Contains(out, want) {
@@ -50,7 +53,10 @@ func TestFigureTSV(t *testing.T) {
 }
 
 func TestFig1Shapes(t *testing.T) {
-	fig := Fig1()
+	fig, err := quick.Fig1()
+	if err != nil {
+		t.Fatal(err)
+	}
 	eff := fig.SeriesByName("Effective PCIe BW")
 	simple := fig.SeriesByName("Simple NIC")
 	kernel := fig.SeriesByName("Modern NIC (kernel driver)")
@@ -326,8 +332,8 @@ func TestFig8Shapes(t *testing.T) {
 		t.Errorf("64B out-of-cache NUMA penalty = %.1f%%, want ~-10", v)
 	}
 	// Paper reports -5..-7% at 128B; in our model 128B reads are
-	// already link-capped so the remote penalty is muted (documented
-	// deviation in EXPERIMENTS.md). Require the right sign and that it
+	// already link-capped so the remote penalty is muted (a deviation
+	// the expectations table notes in its paper column). Require the right sign and that it
 	// sits between the 64B and 512B penalties.
 	if v := s128.YAt(64 << 10); v > 0.5 || v < -15 {
 		t.Errorf("128B NUMA penalty = %.1f%%, want small negative", v)

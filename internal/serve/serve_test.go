@@ -605,3 +605,35 @@ func TestFaultQueryParameters(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroBaselineFailsJob: a pct_delta contrast over a metric that is
+// 0 at the baseline ends the job in "error" with a message naming the
+// delta reduction, and the JSON results and the stream's trailer carry
+// that error: a +Inf value has no JSON encoding, so a "done" job could
+// serve neither.
+func TestZeroBaselineFailsJob(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	sub := submit(t, ts, `{
+	  "name": "zero-baseline",
+	  "axes": [{"name": "transfer", "values": ["64"]}],
+	  "base": {"bench": "bw_rd", "window": "8K", "n": "2000", "nojitter": "true"},
+	  "probes": [{"metric": "replays"}, {"metric": "gbps"}],
+	  "contrast": {"set": {"ber": "1e-5"}}
+	}`, "")
+	st := waitState(t, ts, sub.ID, StateError)
+	const want = `"reduce": "delta"`
+	if !strings.Contains(st.Error, want) {
+		t.Errorf("job error %q does not name %s", st.Error, want)
+	}
+	if body := fetch(t, ts, sub.Results+"?format=json", http.StatusInternalServerError); !bytes.Contains(body, []byte("pct_delta")) {
+		t.Errorf("json results body %s does not explain the failure", body)
+	}
+	lines := bytes.Split(bytes.TrimSpace(fetch(t, ts, sub.Results+"?stream=1", http.StatusOK)), []byte("\n"))
+	var trailer streamTrailer
+	if err := json.Unmarshal(lines[len(lines)-1], &trailer); err != nil {
+		t.Fatal(err)
+	}
+	if !trailer.Done || trailer.State != StateError || !strings.Contains(trailer.Error, want) {
+		t.Errorf("stream trailer %+v", trailer)
+	}
+}

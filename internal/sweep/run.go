@@ -8,7 +8,9 @@ import (
 
 	"pciebench/internal/bench"
 	"pciebench/internal/fault"
+	"pciebench/internal/model"
 	"pciebench/internal/nicsim"
+	"pciebench/internal/pcie"
 	"pciebench/internal/runner"
 	"pciebench/internal/stats"
 	"pciebench/internal/sysconf"
@@ -230,9 +232,13 @@ func (s *Spec) runCell(c Cell, q Quality, workers int) (CellResult, error) {
 				}
 			}
 			base, pert := value, pm.Value(metric)
-			if s.Contrast.Reduce == "delta" {
+			switch {
+			case s.Contrast.Reduce == "delta":
 				value = pert - base
-			} else {
+			case base == 0:
+				return res, fmt.Errorf("sweep: %s cell %d probe %d: %s is 0 at the baseline, so its pct_delta is undefined; use \"reduce\": \"delta\"",
+					s.Name, c.Index, pi, metric)
+			default:
 				value = 100 * (pert - base) / base
 			}
 			m = pm
@@ -307,6 +313,9 @@ func Single(kv map[string]string, tr trace.Tracer) (*Detail, error) {
 // non-nil d receives the run's result and fabric, and its tracer the
 // fresh instance's TLPs.
 func measure(cfg Config, shared *sysconf.Instance, wantCDF bool, workers int, d *Detail) (Measurement, error) {
+	if cfg.Model {
+		return measureModel(cfg), nil
+	}
 	if shared == nil && cfg.usesFabric() {
 		return measureFabric(cfg, workers, d)
 	}
@@ -327,6 +336,32 @@ func measure(cfg Config, shared *sysconf.Instance, wantCDF bool, workers int, d 
 	}
 	m.Faults = faultSnapshot(inst.Fabric)
 	return m, nil
+}
+
+// measureModel evaluates the analytical model for the cell's link
+// (Gen3 x8 unless link keys change it), building and simulating
+// nothing: a bandwidth kind's effective bandwidth at its transfer, or a
+// workload design's bandwidth and packet-pair rate at its frame size
+// with the moderation keys applied. The value is the saturated,
+// fault-free bound; seed, n, window, cache, arrival and fault keys do
+// not enter it.
+func measureModel(cfg Config) Measurement {
+	link := pcie.DefaultGen3x8()
+	if cfg.Opt.Link != nil {
+		link = *cfg.Opt.Link
+	}
+	sz := cfg.Params.TransferSize
+	switch cfg.Bench {
+	case BenchBwRd:
+		return Measurement{Gbps: model.EffectiveReadBandwidth(link, sz) / 1e9}
+	case BenchBwWr:
+		return Measurement{Gbps: model.EffectiveWriteBandwidth(link, sz) / 1e9}
+	case BenchBwRdWr:
+		return Measurement{Gbps: model.EffectiveBidirBandwidth(link, sz) / 1e9}
+	}
+	wl := cfg.Workload.WithDefaults()
+	nic, frame := wl.Moderation.Apply(wl.Design), wl.Sizes.Max()
+	return Measurement{Gbps: nic.Bandwidth(link, frame) / 1e9, PPS: nic.PacketRate(link, frame)}
 }
 
 // measureInstance runs the single-endpoint benchmark kinds against an

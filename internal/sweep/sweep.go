@@ -301,6 +301,10 @@ type Config struct {
 	// P2P selects the transfer path of a BenchP2P cell ("direct" or
 	// "bounce").
 	P2P string
+	// Model evaluates the analytical model (internal/model) for the
+	// cell's link and design instead of simulating it; see
+	// measureModel.
+	Model bool
 }
 
 // usesFabric reports whether the cell needs a multi-endpoint fabric
@@ -315,6 +319,8 @@ func (c *Config) usesFabric() bool {
 // micro-benchmark with a missing or oversized window or a bad transfer
 // or offset. The window is checked against the buffer the cell will
 // build; n=0 passes, since the run resolves it from the quality level.
+// A model cell skips the window and buffer checks, since it touches no
+// buffer, and is held to what the closed form evaluates (checkModel).
 // Only validation and single runs call it: a shared instance is built
 // from the bare cell, which need not name a transfer.
 func resolveRunnable(kv map[string]string) (Config, error) {
@@ -325,6 +331,9 @@ func resolveRunnable(kv map[string]string) (Config, error) {
 	p := cfg.Params
 	if p.Transactions < 0 {
 		return cfg, fmt.Errorf("sweep: n=%d must not be negative", p.Transactions)
+	}
+	if cfg.Model {
+		return cfg, checkModel(cfg)
 	}
 	switch cfg.Bench {
 	case BenchLatRd, BenchLatWrRd, BenchBwRd, BenchBwWr, BenchBwRdWr:
@@ -344,6 +353,44 @@ func resolveRunnable(kv map[string]string) (Config, error) {
 		buf = sysconf.DefaultBufferSize
 	}
 	return cfg, p.Validate(buf)
+}
+
+// checkModel rejects a model=true cell the closed form cannot evaluate:
+// there is none for latency, loopback or p2p, and a workload design is
+// evaluated at one frame size on one endpoint's link.
+func checkModel(cfg Config) error {
+	switch cfg.Bench {
+	case BenchBwRd, BenchBwWr, BenchBwRdWr:
+		if cfg.Params.TransferSize < 1 {
+			return fmt.Errorf("sweep: model=true needs transfer >= 1, got %d", cfg.Params.TransferSize)
+		}
+	case BenchWorkload:
+		if cfg.usesFabric() {
+			return fmt.Errorf("sweep: model=true evaluates one endpoint's link, not a topology (buffers/endpoints/switch/socket)")
+		}
+		// Only a single-size distribution has its largest frame as its mean.
+		if d := cfg.Workload.WithDefaults().Sizes; float64(d.Max()) != d.Mean() {
+			return fmt.Errorf("sweep: model=true evaluates one frame size, not sizes=%s", d)
+		}
+	default:
+		return fmt.Errorf("sweep: bench %s has no closed form; model=true applies to %s, %s, %s and %s",
+			cfg.Bench, BenchBwRd, BenchBwWr, BenchBwRdWr, BenchWorkload)
+	}
+	return nil
+}
+
+// resolveProbe resolves a probe's assignment like resolveRunnable and
+// also rejects a metric a model cell does not compute: it reports
+// bandwidth, and a workload also its packet-pair rate.
+func resolveProbe(kv map[string]string, p Probe) (Config, error) {
+	cfg, err := resolveRunnable(kv)
+	if err != nil || !cfg.Model {
+		return cfg, err
+	}
+	if m := metricFor(p, cfg.Bench); m != MetricGbps && (m != MetricPPS || cfg.Bench != BenchWorkload) {
+		return cfg, fmt.Errorf("sweep: a model=true %s cell reports no %s metric", cfg.Bench, m)
+	}
+	return cfg, nil
 }
 
 // parseSize parses an integer with an optional K/M/G binary suffix
@@ -431,8 +478,8 @@ var (
 	// the link) and apply to every benchmark kind.
 	systemKeys = []string{
 		"bench", "ber", "buffer", "cto", "dmainflight", "gen", "iommu",
-		"iommuscope", "lanes", "mps", "mrrs", "n", "node", "nojitter",
-		"retrain", "seed", "sp", "system", "walkers", "warmup",
+		"iommuscope", "lanes", "model", "mps", "mrrs", "n", "node",
+		"nojitter", "retrain", "seed", "sp", "system", "walkers", "warmup",
 	}
 	// microKeys are the pcie-bench micro-benchmark parameters
 	// (bench.Params) of the latency/bandwidth/loopback kinds.
@@ -610,6 +657,8 @@ func resolveConfig(kv map[string]string) (Config, error) {
 			cfg.Opt.SuperPages, err = parseBool(v)
 		case "nojitter":
 			cfg.Opt.NoJitter, err = parseBool(v)
+		case "model":
+			cfg.Model, err = parseBool(v)
 		case "ber":
 			var b float64
 			if b, err = parseBER(v); err == nil && b > 0 {
@@ -967,7 +1016,7 @@ func (s *Spec) Validate() error {
 	for _, c := range s.Cells() {
 		for pi, p := range s.probes() {
 			kv := s.mergedKV(c.KV, p.Set)
-			cfg, err := resolveRunnable(kv)
+			cfg, err := resolveProbe(kv, p)
 			if err != nil {
 				return fmt.Errorf("sweep: spec %q cell %d probe %d: %w", s.Name, c.Index, pi, err)
 			}
@@ -975,7 +1024,7 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("sweep: spec %q cell %d: shared_instance cells cannot use multi-endpoint topologies", s.Name, c.Index)
 			}
 			if s.Contrast != nil {
-				if _, err := resolveRunnable(s.mergedKV(kv, s.Contrast.Set)); err != nil {
+				if _, err := resolveProbe(s.mergedKV(kv, s.Contrast.Set), p); err != nil {
 					return fmt.Errorf("sweep: spec %q cell %d probe %d contrast: %w", s.Name, c.Index, pi, err)
 				}
 			}

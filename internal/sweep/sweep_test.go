@@ -94,6 +94,7 @@ func TestResolveConfigErrors(t *testing.T) {
 		{"system": "PDP-11"},
 		{"gen": "9"},
 		{"lanes": "3"},
+		{"model": "maybe"},
 		// Zero would silently select a default.
 		{"endpoints": "0"},
 		{"walkers": "0"},
@@ -253,6 +254,58 @@ func TestValidateErrors(t *testing.T) {
 			s.Axes = []Axis{IntAxis("n", 100)}
 			s.Base = map[string]string{"bench": "p2p"}
 		},
+		// model=true: latency, loopback and p2p have no closed form.
+		func(s *Spec) { s.Base["model"] = "true" },
+		func(s *Spec) { s.Base["model"] = "true"; s.Base["bench"] = "lat_wrrd" },
+		func(s *Spec) { s.Contrast = &Contrast{Set: map[string]string{"model": "true"}} },
+		func(s *Spec) {
+			s.Axes = []Axis{IntAxis("transfer", 64)}
+			s.Base = map[string]string{"bench": "loopback", "model": "true"}
+		},
+		func(s *Spec) {
+			s.Axes = []Axis{IntAxis("transfer", 64)}
+			s.Base = map[string]string{"bench": "p2p", "model": "true"}
+		},
+		// A model workload is one frame size on one endpoint's link, a
+		// jumbo frame at most.
+		func(s *Spec) {
+			s.Axes = []Axis{StrAxis("sizes", "1500", "imix")}
+			s.Base = map[string]string{"bench": "workload", "model": "true"}
+		},
+		func(s *Spec) {
+			s.Axes = []Axis{StrAxis("sizes", "hist:64=1,1500=1")}
+			s.Base = map[string]string{"bench": "workload", "model": "true"}
+		},
+		func(s *Spec) {
+			s.Axes = []Axis{StrAxis("sizes", "uniform:64-1518")}
+			s.Base = map[string]string{"bench": "workload", "model": "true"}
+		},
+		func(s *Spec) {
+			s.Axes = []Axis{IntAxis("endpoints", 2)}
+			s.Base = map[string]string{"bench": "workload", "model": "true"}
+		},
+		func(s *Spec) {
+			s.Axes = []Axis{StrAxis("transfer", "16K")}
+			s.Base = map[string]string{"bench": "workload", "model": "true"}
+		},
+		// A model bandwidth cell needs a transfer, and reports only
+		// bandwidth; only a workload adds its packet rate.
+		func(s *Spec) {
+			s.Axes = []Axis{IntAxis("transfer", 0)}
+			s.Base = map[string]string{"bench": "bw_rd", "model": "true"}
+		},
+		func(s *Spec) {
+			s.Base = map[string]string{"bench": "bw_rd", "model": "true"}
+			s.Probes = []Probe{{Metric: MetricMedian}}
+		},
+		func(s *Spec) {
+			s.Base = map[string]string{"bench": "bw_wr", "model": "true"}
+			s.Probes = []Probe{{Metric: MetricPPS}}
+		},
+		func(s *Spec) {
+			s.Base = map[string]string{"bench": "workload", "model": "true"}
+			s.Probes = []Probe{{Metric: MetricP99}}
+		},
 	}
 	for i, mutate := range cases {
 		s := testSpec()
@@ -274,6 +327,19 @@ func TestValidateErrors(t *testing.T) {
 		s := &Spec{Name: "t", Axes: []Axis{IntAxis("transfer", 64)}, Base: map[string]string{"bench": kind}}
 		if err := s.Validate(); err != nil {
 			t.Errorf("%s spec without n rejected: %v", kind, err)
+		}
+	}
+	// A model cell needs no window, and a distribution of one size is
+	// one frame size.
+	for _, base := range []map[string]string{
+		{"bench": "bw_rd", "transfer": "4K"},
+		{"bench": "workload", "sizes": "hist:1500=3"},
+		{"bench": "workload", "sizes": "uniform:600-600", "queues": "4", "arrival": "poisson:1M"},
+	} {
+		base["model"] = "true"
+		s := &Spec{Name: "t", Axes: []Axis{IntAxis("mps", 128, 4096)}, Base: base}
+		if err := s.Validate(); err != nil {
+			t.Errorf("model cell %v rejected: %v", base, err)
 		}
 	}
 }

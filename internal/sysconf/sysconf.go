@@ -5,7 +5,9 @@
 // complex pipeline, link parameters, latency-jitter model) with the
 // network adapter installed in it (NFP-6000 or NetFPGA-SUME). The
 // numeric calibrations are anchored to measurements the paper itself
-// reports; see the per-field comments and DESIGN.md for the mapping.
+// reports; see the per-field comments for the mapping, and
+// cmd/pcie-repro/testdata/quick/expectations.tsv for the paper values
+// the calibrated systems reproduce.
 package sysconf
 
 import (
