@@ -128,7 +128,8 @@ serve-smoke:
 
 # Chaos smoke of the service hardening: oversized body -> 413, slow
 # client -> read-deadline disconnect, overrunning job -> "timeout"
-# state. What CI's "Service chaos smoke" step runs.
+# state, full job queue -> 503 with Retry-After. What CI's "Service
+# chaos smoke" step runs.
 chaos-smoke:
 	sh examples/serve/chaos.sh
 

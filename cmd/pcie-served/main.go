@@ -59,9 +59,9 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	var (
 		addr     = fs.String("addr", ":8080", "listen address")
 		workers  = fs.Int("workers", 0, "per-job worker cap (0 = GOMAXPROCS); requests may ask for fewer, never more")
-		maxJobs  = fs.Int("max-jobs", 2, "concurrently executing jobs; later submissions queue")
+		maxJobs  = fs.Int("max-jobs", 2, "concurrently executing jobs; later submissions queue, up to 256 queued or running (past that, 503)")
 		quality  = fs.String("quality", "quick", "default sample-count quality: quick|full (requests may override)")
-		cacheSel = fs.String("cache", "mem", "result cache backend: mem|disk|off")
+		cacheSel = fs.String("cache", "mem", "result cache backend: mem (in-process, at most 64 MiB, oldest entries evicted first)|disk|off")
 		cacheDir = fs.String("cache-dir", "pcie-served-cache", "on-disk cache directory (with -cache disk)")
 		quiet    = fs.Bool("quiet", false, "suppress per-request and per-job log lines")
 

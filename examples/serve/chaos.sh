@@ -5,7 +5,9 @@
 # the read deadline instead of holding a connection open, and a job
 # that overruns its wall-clock budget lands in the dedicated "timeout"
 # state (and its results answer 504) while a reasonable job still
-# completes.
+# completes. A second server, with one job slot and no job deadline,
+# then takes slow jobs until its queue is full: the next submission
+# gets 503 with a Retry-After header.
 #
 # Run from the repository root:  sh examples/serve/chaos.sh
 # Requires curl; uses jq when present (falls back to sed).
@@ -16,8 +18,10 @@ BASE="http://127.0.0.1:$PORT"
 WORK="$(mktemp -d)"
 
 cleanup() {
-    [ -n "${SERVED_PID:-}" ] && kill "$SERVED_PID" 2>/dev/null || true
-    [ -n "${SERVED_PID:-}" ] && wait "$SERVED_PID" 2>/dev/null || true
+    for pid in ${SERVED_PID:-} ${QUEUE_PID:-}; do
+        kill "$pid" 2>/dev/null || true
+        wait "$pid" 2>/dev/null || true
+    done
     rm -rf "$WORK"
 }
 trap cleanup EXIT INT TERM
@@ -115,4 +119,29 @@ echo "==> SIGTERM shuts down cleanly"
 kill -TERM "$SERVED_PID"
 wait "$SERVED_PID"
 SERVED_PID=
+
+echo "==> a full queue answers 503 with Retry-After"
+# One job slot and no job deadline (a 1s deadline would drain the
+# queue while it fills): the first slow job runs for seconds, the next
+# ones queue until the server holds its bound of queued or running jobs.
+QPORT=$((PORT + 1))
+"$WORK/pcie-served" -addr "127.0.0.1:$QPORT" -cache off -workers 1 -max-jobs 1 -quiet &
+QUEUE_PID=$!
+for i in $(seq 1 50); do
+    curl -fsS "http://127.0.0.1:$QPORT/healthz" >/dev/null 2>&1 && break
+    [ "$i" = 50 ] && { echo "queue server never became healthy" >&2; exit 1; }
+    sleep 0.2
+done
+CODE=
+for i in $(seq 1 300); do
+    CODE="$(curl -s -D "$WORK/queue-hdr.txt" -o "$WORK/queue-resp.json" -w '%{http_code}' \
+        -X POST --data-binary "@$WORK/slow-sweep.json" "http://127.0.0.1:$QPORT/v1/sweeps")"
+    [ "$CODE" = 202 ] || break
+done
+[ "$CODE" = 503 ] || { echo "submission $i got $CODE, want 503 once the queue is full" >&2; exit 1; }
+grep -qi '^Retry-After:' "$WORK/queue-hdr.txt" || { echo "503 without a Retry-After header" >&2; exit 1; }
+echo "    submission $i: 503, $(grep -i '^Retry-After:' "$WORK/queue-hdr.txt" | tr -d '\r'): $(field "$WORK/queue-resp.json" error)"
+kill -TERM "$QUEUE_PID"
+wait "$QUEUE_PID"
+QUEUE_PID=
 echo "==> chaos smoke OK"

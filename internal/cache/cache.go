@@ -7,7 +7,8 @@
 // identical resubmission executes nothing at all. The package defines
 // the Store interface the sweep engine dedups against, plus two
 // implementations: an in-memory map for a single process (the serving
-// default) and an on-disk layout that persists across restarts.
+// default), bounded to a fixed byte budget, and an on-disk layout that
+// persists across restarts.
 //
 // Stores are deliberately dumb byte stores — keying policy (what goes
 // into the hash) belongs to the caller; see sweep.Engine.
@@ -40,16 +41,28 @@ type Store interface {
 	Len() int
 }
 
-// Memory is the in-process Store: a mutex-guarded map. The zero value
-// is not ready; use NewMemory.
+// memoryBudget bounds the bytes a Memory holds, keys plus values. An
+// evicted entry costs only a recompute, because keys are content
+// addresses.
+const memoryBudget = 64 << 20
+
+// Memory is the in-process Store: a mutex-guarded map within a byte
+// budget (memoryBudget). Past it, Put evicts the oldest entries first,
+// so Get stays a read-locked map lookup. The zero value is not ready;
+// use NewMemory.
 type Memory struct {
-	mu sync.RWMutex
-	m  map[string][]byte
+	mu     sync.RWMutex
+	m      map[string][]byte
+	order  []string // keys in insertion order; the first is evicted first
+	bytes  int      // key plus value bytes held
+	budget int
 }
 
-// NewMemory returns an empty in-memory store.
-func NewMemory() *Memory {
-	return &Memory{m: map[string][]byte{}}
+// NewMemory returns an empty in-memory store with the default budget.
+func NewMemory() *Memory { return newMemory(memoryBudget) }
+
+func newMemory(budget int) *Memory {
+	return &Memory{m: map[string][]byte{}, budget: budget}
 }
 
 // Get returns the blob stored under key.
@@ -60,15 +73,30 @@ func (c *Memory) Get(key string) ([]byte, bool) {
 	return v, ok
 }
 
-// Put stores val under key; existing entries are kept (immutability
-// means both values are identical anyway).
+// Put stores val under key, evicting the oldest entries until it fits;
+// existing entries are kept (immutability means both values are
+// identical anyway), and an entry larger than the whole budget is not
+// stored.
 func (c *Memory) Put(key string, val []byte) {
+	size := len(key) + len(val)
+	if size > c.budget {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.m[key]; dup {
 		return
 	}
+	for c.bytes+size > c.budget {
+		old := c.order[0]
+		c.order[0] = ""
+		c.order = c.order[1:]
+		c.bytes -= len(old) + len(c.m[old])
+		delete(c.m, old)
+	}
 	c.m[key] = append([]byte(nil), val...)
+	c.order = append(c.order, key)
+	c.bytes += size
 }
 
 // Len returns the entry count.

@@ -170,3 +170,72 @@ func TestDiskQuarantine(t *testing.T) {
 	// Quarantining a missing key is a no-op, not a crash.
 	s.Quarantine(Key([]byte("absent")), "whatever")
 }
+
+// TestMemoryBudget: past its byte budget a Memory evicts its oldest
+// entries first, never holds more key and value bytes than the budget,
+// misses an evicted key, and takes it back on a fresh Put.
+func TestMemoryBudget(t *testing.T) {
+	key := func(i int) string { return Key([]byte(fmt.Sprint("cell-", i))) }
+	val := []byte(strings.Repeat("v", 36)) // 64-byte key + 36 = 100 bytes an entry
+	const budget = 350                     // room for three entries
+	c := newMemory(budget)
+	for i := 0; i < 10; i++ {
+		c.Put(key(i), val)
+		if c.bytes > budget {
+			t.Fatalf("after %d puts: %d bytes held, budget %d", i+1, c.bytes, budget)
+		}
+		if want := min(i+1, 3); c.Len() != want {
+			t.Fatalf("after %d puts: Len = %d, want %d", i+1, c.Len(), want)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		if _, ok := c.Get(key(i)); ok != (i >= 7) {
+			t.Errorf("key %d: hit = %v, want %v (the newest three stay)", i, ok, i >= 7)
+		}
+	}
+
+	// A re-Put of an evicted key restores it and evicts the oldest.
+	c.Put(key(0), []byte("back"))
+	if got, ok := c.Get(key(0)); !ok || string(got) != "back" {
+		t.Fatalf("re-Put evicted key: Get = %q, %v", got, ok)
+	}
+	if _, ok := c.Get(key(7)); ok {
+		t.Error("the oldest entry survived the re-Put")
+	}
+	if c.bytes > budget || c.Len() != 3 {
+		t.Errorf("after re-Put: %d bytes, %d entries", c.bytes, c.Len())
+	}
+
+	// An entry larger than the whole budget is not stored and evicts
+	// nothing.
+	c.Put(key(99), make([]byte, budget))
+	if _, ok := c.Get(key(99)); ok || c.Len() != 3 {
+		t.Errorf("over-budget entry: stored %v, Len = %d", ok, c.Len())
+	}
+}
+
+// TestMemoryBudgetConcurrent: writers racing past the budget never
+// leave it exceeded or a value torn.
+func TestMemoryBudgetConcurrent(t *testing.T) {
+	const budget = 1000
+	c := newMemory(budget)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				n := (i*7 + j) % 50
+				key := Key([]byte(fmt.Sprintf("k%d", n)))
+				c.Put(key, []byte(fmt.Sprintf("v%d", n)))
+				if v, ok := c.Get(key); ok && string(v) != fmt.Sprintf("v%d", n) {
+					t.Errorf("torn read: %q", v)
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	if c.bytes > budget || c.Len() != len(c.order) {
+		t.Fatalf("%d bytes held (budget %d), %d entries, %d in order", c.bytes, budget, c.Len(), len(c.order))
+	}
+}

@@ -30,12 +30,13 @@ func terminal(state string) bool {
 }
 
 // job is one submitted sweep: the spec, its execution state, and the
-// incrementally growing result rows. Readers (status and streaming
+// incrementally growing cell results. Readers (status and streaming
 // handlers) snapshot under mu and wait on notify, which is closed and
 // replaced on every update — a broadcast that, unlike sync.Cond,
 // composes with context cancellation in a select.
 type job struct {
 	id      string
+	seq     int // the N of id "sw-N": submission order
 	spec    *sweep.Spec
 	labels  []string
 	workers int
@@ -43,19 +44,23 @@ type job struct {
 	created time.Time
 	cancel  context.CancelFunc
 
-	mu      sync.Mutex
-	notify  chan struct{}
-	state   string
-	rows    []sweep.Row
-	result  *sweep.Result
+	mu     sync.Mutex
+	notify chan struct{}
+	state  string
+	// cells holds each delivered cell's index, coordinates and values:
+	// all any emitter or the stream reads. The measurements and merged
+	// key-value maps the engine also carries stay behind, since the
+	// cache holds every value already.
+	cells   []sweep.CellResult
 	stats   sweep.Stats
 	err     error
 	elapsed time.Duration
 }
 
-func newJob(id string, spec *sweep.Spec, workers int, q sweep.Quality, cancel context.CancelFunc) *job {
+func newJob(seq int, spec *sweep.Spec, workers int, q sweep.Quality, cancel context.CancelFunc) *job {
 	return &job{
-		id:      id,
+		id:      jobID(seq),
+		seq:     seq,
 		spec:    spec,
 		labels:  spec.ProbeLabels(),
 		workers: workers,
@@ -76,17 +81,16 @@ func (j *job) update(fn func()) {
 	j.notify = make(chan struct{})
 }
 
-// appendRow records one streamed cell result; the engine delivers them
-// in enumeration order.
-func (j *job) appendRow(c sweep.CellResult) {
-	row := sweep.RowOf(j.spec, j.labels, c)
-	j.update(func() { j.rows = append(j.rows, row) })
+// appendCell records one streamed cell result; the engine delivers
+// them in enumeration order.
+func (j *job) appendCell(c sweep.CellResult) {
+	kept := sweep.CellResult{Cell: sweep.Cell{Index: c.Cell.Index, Coord: c.Cell.Coord}, Values: c.Values}
+	j.update(func() { j.cells = append(j.cells, kept) })
 }
 
 // finish records the run outcome and enters a terminal state.
-func (j *job) finish(res *sweep.Result, stats sweep.Stats, err error) {
+func (j *job) finish(stats sweep.Stats, err error) {
 	j.update(func() {
-		j.result = res
 		j.stats = stats
 		j.err = err
 		j.elapsed = time.Since(j.created)
@@ -107,20 +111,28 @@ func (j *job) finish(res *sweep.Result, stats sweep.Stats, err error) {
 }
 
 // snapshot returns a consistent view for the status and stream
-// handlers: the current state, how many rows exist, the run outcome
+// handlers: the current state, how many cells exist, the run outcome
 // and the channel that signals the next change.
-func (j *job) snapshot() (state string, rows int, stats sweep.Stats, err error, notify <-chan struct{}) {
+func (j *job) snapshot() (state string, cells int, stats sweep.Stats, err error, notify <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state, len(j.rows), j.stats, j.err, j.notify
+	return j.state, len(j.cells), j.stats, j.err, j.notify
 }
 
-// row returns the i'th result row; the caller must know i < rows from
-// a snapshot (rows only grow).
+// row returns the wire row of the i'th cell; the caller must know
+// i < cells from a snapshot (cells only grow).
 func (j *job) row(i int) sweep.Row {
 	j.mu.Lock()
+	c := j.cells[i]
+	j.mu.Unlock()
+	return sweep.RowOf(j.spec, j.labels, c)
+}
+
+// result returns the delivered cells as a Result for the emitters.
+func (j *job) result() *sweep.Result {
+	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.rows[i]
+	return &sweep.Result{Spec: j.spec, Cells: j.cells}
 }
 
 // await blocks until the job reaches a terminal state or ctx fires,

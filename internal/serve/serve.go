@@ -31,7 +31,11 @@
 //	                                 (fault-injection sugar for the
 //	                                 matching set= override, validated
 //	                                 with the spec).
-//	                                 Returns 202 with the job id.
+//	                                 Returns 202 with the job id, or
+//	                                 503 with Retry-After: 1 while 256
+//	                                 jobs are queued or running.
+//	GET    /v1/sweeps                the retained jobs' status, oldest
+//	                                 first.
 //	GET    /v1/sweeps/{id}           job status and cache accounting.
 //	GET    /v1/sweeps/{id}/results   the emitted grid; ?format= selects
 //	                                 any registered emitter (default
@@ -44,10 +48,19 @@
 //	GET    /v1/cache                 cache entries and aggregate
 //	                                 hit/executed counters.
 //	GET    /healthz                  liveness.
+//
+// A server keeps every queued or running job and the 256 that finished
+// last; a finished job holds each cell's coordinates and values once.
+// Past 256, the job that finished first is evicted, and its id answers
+// 410 Gone on every /v1/sweeps/{id} route: resubmitting the spec
+// recomputes no cell the cache still holds. An id the server never
+// issued answers 404. The memory cache (cache.NewMemory) holds at most
+// 64 MiB of keys and values and evicts its oldest entries past that.
 package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -55,7 +68,9 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -69,7 +84,7 @@ type Config struct {
 	// via ?workers=N but never more. 0 means GOMAXPROCS at New.
 	Workers int
 	// MaxJobs bounds concurrently executing jobs; later submissions
-	// queue. 0 means 2.
+	// queue, up to jobLimit queued or running. 0 means 2.
 	MaxJobs int
 	// Quality is the default quality level (requests may override).
 	Quality sweep.Quality
@@ -89,6 +104,14 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// jobLimit bounds each of the two groups of jobs a server holds: the
+// queued or running ones (a submission past it gets 503) and the
+// finished ones (past it, the one that finished first is evicted). So a
+// server holds at most 2 × jobLimit jobs. It is a constant, not a knob:
+// an evicted job costs its client one resubmission, and the cache
+// answers that without executing its cells again.
+const jobLimit = 256
+
 // Server implements the HTTP API. Create with New; it is an
 // http.Handler. Close cancels running jobs and waits for them.
 type Server struct {
@@ -99,11 +122,11 @@ type Server struct {
 	sem    chan struct{}
 	wg     sync.WaitGroup
 
-	mu     sync.Mutex
-	jobs   map[string]*job
-	order  []string // job ids in submission order
-	nextID int
-	totals sweep.Stats
+	mu       sync.Mutex
+	jobs     map[string]*job // the retained jobs
+	finished []*job          // the retained terminal jobs, in the order they finished
+	nextID   int             // the sequence number of the last job issued
+	totals   sweep.Stats
 }
 
 // New builds a Server from cfg, resolving its zero limits to the
@@ -279,6 +302,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	j := s.launch(spec, workers, quality)
+	if j == nil {
+		s.logf("reject %s: %d jobs queued or running", spec.Name, jobLimit)
+		w.Header().Set("Retry-After", "1")
+		apiError(w, http.StatusServiceUnavailable,
+			"%d jobs are queued or running, the most this server holds; retry later", jobLimit)
+		return
+	}
 	writeJSON(w, http.StatusAccepted, submitResponse{
 		ID:      j.id,
 		Name:    spec.Name,
@@ -289,8 +319,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // launch registers a job and starts its goroutine, bounded by the
-// concurrent-jobs semaphore.
+// concurrent-jobs semaphore. It registers nothing and returns nil when
+// jobLimit jobs are queued or running already: the bound is checked and
+// the job registered under one hold of s.mu, so concurrent submissions
+// cannot overshoot it.
 func (s *Server) launch(spec *sweep.Spec, workers int, quality sweep.Quality) *job {
+	s.mu.Lock()
+	if len(s.jobs)-len(s.finished) >= jobLimit {
+		s.mu.Unlock()
+		return nil
+	}
 	var ctx context.Context
 	var cancel context.CancelFunc
 	if s.cfg.JobTimeout > 0 {
@@ -301,13 +339,9 @@ func (s *Server) launch(spec *sweep.Spec, workers int, quality sweep.Quality) *j
 	} else {
 		ctx, cancel = context.WithCancel(s.ctx)
 	}
-
-	s.mu.Lock()
 	s.nextID++
-	id := fmt.Sprintf("sw-%d", s.nextID)
-	j := newJob(id, spec, workers, quality, cancel)
-	s.jobs[id] = j
-	s.order = append(s.order, id)
+	j := newJob(s.nextID, spec, workers, quality, cancel)
+	s.jobs[j.id] = j
 	s.mu.Unlock()
 
 	s.wg.Add(1)
@@ -318,7 +352,7 @@ func (s *Server) launch(spec *sweep.Spec, workers int, quality sweep.Quality) *j
 		case s.sem <- struct{}{}:
 			defer func() { <-s.sem }()
 		case <-ctx.Done():
-			j.finish(nil, sweep.Stats{}, ctx.Err())
+			s.retire(j, sweep.Stats{}, ctx.Err())
 			return
 		}
 		j.update(func() { j.state = StateRunning })
@@ -327,27 +361,58 @@ func (s *Server) launch(spec *sweep.Spec, workers int, quality sweep.Quality) *j
 			Quality: j.quality,
 			Cache:   s.cfg.Cache,
 			Build:   s.cfg.Build,
-			OnCell:  j.appendRow,
+			OnCell:  j.appendCell,
 		}
-		res, stats, err := engine.Run(ctx, spec)
-		j.finish(res, stats, err)
-		s.mu.Lock()
-		s.totals.Cells += stats.Cells
-		s.totals.Hits += stats.Hits
-		s.totals.Executed += stats.Executed
-		s.mu.Unlock()
+		_, stats, err := engine.Run(ctx, spec)
+		s.retire(j, stats, err)
 		state, _, _, _, _ := j.snapshot()
 		s.logf("job %s (%s): %s — %d cells, %d cache hits, %d executed",
-			id, spec.Name, state, stats.Cells, stats.Hits, stats.Executed)
+			j.id, spec.Name, state, stats.Cells, stats.Hits, stats.Executed)
 	}()
 	return j
 }
 
-func (s *Server) job(id string) (*job, bool) {
+// retire finishes a job, adds its accounting to the totals and counts
+// it among the retained finished jobs, evicting the one that finished
+// first once there are more than jobLimit. All of it happens under one
+// hold of s.mu, so a client that sees the job terminal also sees it
+// counted out of the queued-or-running bound.
+func (s *Server) retire(j *job, stats sweep.Stats, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	j.finish(stats, err)
+	s.totals.Cells += stats.Cells
+	s.totals.Hits += stats.Hits
+	s.totals.Executed += stats.Executed
+	s.finished = append(s.finished, j)
+	if len(s.finished) > jobLimit {
+		delete(s.jobs, s.finished[0].id)
+		s.finished[0] = nil
+		s.finished = s.finished[1:]
+	}
+}
+
+// jobID is the id of the job with sequence number seq.
+func jobID(seq int) string { return "sw-" + strconv.Itoa(seq) }
+
+// lookup returns the retained job with the given id. Otherwise it
+// answers 410 for an id the server issued (its job was evicted) and
+// 404 for any other, and returns false.
+func (s *Server) lookup(w http.ResponseWriter, id string) (*job, bool) {
+	s.mu.Lock()
 	j, ok := s.jobs[id]
-	return j, ok
+	issued := s.nextID
+	s.mu.Unlock()
+	if ok {
+		return j, true
+	}
+	if n, err := strconv.Atoi(strings.TrimPrefix(id, "sw-")); err == nil && n >= 1 && n <= issued && id == jobID(n) {
+		apiError(w, http.StatusGone,
+			"sweep %s was evicted: the server keeps the %d newest finished jobs; resubmit it, cached cells are not recomputed", id, jobLimit)
+	} else {
+		apiError(w, http.StatusNotFound, "unknown sweep %q", id)
+	}
+	return nil, false
 }
 
 // statusResponse is the job-status document.
@@ -388,22 +453,22 @@ func (s *Server) status(j *job) statusResponse {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(r.PathValue("id"))
+	j, ok := s.lookup(w, r.PathValue("id"))
 	if !ok {
-		apiError(w, http.StatusNotFound, "unknown sweep %q", r.PathValue("id"))
 		return
 	}
 	writeJSON(w, http.StatusOK, s.status(j))
 }
 
-// handleList reports every submitted job, oldest first.
+// handleList reports every retained job, oldest first.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.order))
-	for _, id := range s.order {
-		jobs = append(jobs, s.jobs[id])
+	jobs := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
 	}
 	s.mu.Unlock()
+	slices.SortFunc(jobs, func(a, b *job) int { return cmp.Compare(a.seq, b.seq) })
 	out := make([]statusResponse, 0, len(jobs))
 	for _, j := range jobs {
 		out = append(out, s.status(j))
@@ -412,9 +477,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(r.PathValue("id"))
+	j, ok := s.lookup(w, r.PathValue("id"))
 	if !ok {
-		apiError(w, http.StatusNotFound, "unknown sweep %q", r.PathValue("id"))
 		return
 	}
 	j.cancel()
@@ -426,9 +490,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // complete, in enumeration order, ending with a trailer object that
 // carries the final state and cache accounting.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(r.PathValue("id"))
+	j, ok := s.lookup(w, r.PathValue("id"))
 	if !ok {
-		apiError(w, http.StatusNotFound, "unknown sweep %q", r.PathValue("id"))
 		return
 	}
 	if r.URL.Query().Get("stream") == "1" {
@@ -467,10 +530,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	default:
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	}
-	j.mu.Lock()
-	res := j.result
-	j.mu.Unlock()
-	if err := emit(w, res); err != nil {
+	if err := emit(w, j.result()); err != nil {
 		s.logf("job %s: emit %s: %v", j.id, format, err)
 	}
 }

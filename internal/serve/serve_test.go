@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -204,7 +205,9 @@ func TestWorkerCap(t *testing.T) {
 	} {
 		srv, ts := newTestServer(t, Config{Workers: tc.cap})
 		sub := submit(t, ts, testSpec, tc.query)
-		j, ok := srv.job(sub.ID)
+		srv.mu.Lock()
+		j, ok := srv.jobs[sub.ID]
+		srv.mu.Unlock()
 		if !ok {
 			t.Fatalf("job %s not registered", sub.ID)
 		}
@@ -311,13 +314,19 @@ func TestCacheAccounting(t *testing.T) {
 	}
 }
 
+// registerTestSweep registers serve-test-reg once per test binary, so
+// the test that needs it also passes under -count > 1.
+var registerTestSweep sync.Once
+
 // TestOverridesAndRegisteredSweeps drives the envelope submission form
 // and ?set= query overrides.
 func TestOverridesAndRegisteredSweeps(t *testing.T) {
-	sweep.Register(&sweep.Spec{
-		Name: "serve-test-reg",
-		Axes: []sweep.Axis{sweep.StrAxis("transfer", "64")},
-		Base: map[string]string{"bench": "lat_rd", "n": "1K", "window": "8K"},
+	registerTestSweep.Do(func() {
+		sweep.Register(&sweep.Spec{
+			Name: "serve-test-reg",
+			Axes: []sweep.Axis{sweep.StrAxis("transfer", "64")},
+			Base: map[string]string{"bench": "lat_rd", "n": "1K", "window": "8K"},
+		})
 	})
 	_, ts := newTestServer(t, Config{})
 
@@ -635,5 +644,216 @@ func TestZeroBaselineFailsJob(t *testing.T) {
 	}
 	if !trailer.Done || trailer.State != StateError || !strings.Contains(trailer.Error, want) {
 		t.Errorf("stream trailer %+v", trailer)
+	}
+}
+
+// modelSpec is a one-cell grid of the analytical model: it builds and
+// simulates nothing, so hundreds of jobs of it take milliseconds.
+const modelSpec = `{
+  "name": "serve-model",
+  "axes": [{"name": "transfer", "values": ["64"]}],
+  "base": {"bench": "bw_rd", "model": "true"}
+}`
+
+// request sends one request and returns the status code, the body and
+// the response header; unlike submit and fetch it is safe off the test
+// goroutine.
+func request(ts *httptest.Server, method, path, body string) (int, []byte, http.Header, error) {
+	req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, raw, resp.Header, err
+}
+
+// TestRetentionEvictsOldest: a server keeps the jobLimit jobs that
+// finished last. An evicted id answers 410 on every job route, an id
+// never issued 404, the list shows only the retained jobs in
+// submission order, and resubmitting an evicted job serves the same
+// bytes from the cache without executing a cell.
+func TestRetentionEvictsOldest(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Cache: cache.NewMemory(), Build: "test"})
+	const early = 10
+	formats := []string{"tsv", "json", "ndjson"}
+	before := map[string][]byte{}
+	for i := 0; i < early; i++ {
+		sub := submit(t, ts, modelSpec, "")
+		if i == 0 {
+			for _, f := range formats {
+				before[f] = fetch(t, ts, sub.Results+"?format="+f, http.StatusOK)
+			}
+			before["stream"] = fetch(t, ts, sub.Results+"?stream=1", http.StatusOK)
+		} else {
+			fetch(t, ts, sub.Results, http.StatusOK)
+		}
+	}
+
+	// The rest come from several clients at once, each reading its
+	// results before it submits again.
+	const clients, perClient = 4, (jobLimit + 34) / 4
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				code, raw, _, err := request(ts, http.MethodPost, "/v1/sweeps", modelSpec)
+				var sub submitResponse
+				if err == nil && code == http.StatusAccepted {
+					err = json.Unmarshal(raw, &sub)
+				}
+				if err == nil && code == http.StatusAccepted {
+					code, raw, _, err = request(ts, http.MethodGet, sub.Results, "")
+				}
+				if err != nil || code != http.StatusOK {
+					t.Errorf("job %d of client: %d %s %v", i, code, raw, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	total := early + clients*perClient
+	if total <= jobLimit+early {
+		t.Fatalf("%d jobs evict fewer than the %d early ones", total, early)
+	}
+
+	for i := 1; i <= early; i++ {
+		id := fmt.Sprintf("sw-%d", i)
+		for _, rq := range []struct{ method, path string }{
+			{http.MethodGet, "/v1/sweeps/" + id},
+			{http.MethodGet, "/v1/sweeps/" + id + "/results"},
+			{http.MethodGet, "/v1/sweeps/" + id + "/results?stream=1"},
+			{http.MethodDelete, "/v1/sweeps/" + id},
+		} {
+			code, raw, _, err := request(ts, rq.method, rq.path, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code != http.StatusGone || !bytes.Contains(raw, []byte("resubmit")) {
+				t.Errorf("%s %s: %d %s, want 410 naming a resubmit", rq.method, rq.path, code, raw)
+			}
+		}
+	}
+	for _, id := range []string{"sw-999999", "foo", "sw-0", "sw-01", fmt.Sprintf("sw-%d", total+1)} {
+		fetch(t, ts, "/v1/sweeps/"+id, http.StatusNotFound)
+		fetch(t, ts, "/v1/sweeps/"+id+"/results", http.StatusNotFound)
+	}
+
+	var jobs []statusResponse
+	if err := json.Unmarshal(fetch(t, ts, "/v1/sweeps", http.StatusOK), &jobs); err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != jobLimit {
+		t.Fatalf("listed %d jobs, want %d", len(jobs), jobLimit)
+	}
+	prev := 0
+	for _, j := range jobs {
+		var n int
+		if _, err := fmt.Sscanf(j.ID, "sw-%d", &n); err != nil || n <= prev || n <= early || j.State != StateDone {
+			t.Fatalf("list entry %+v after sw-%d: want a newer done job than the evicted sw-1..sw-%d", j, prev, early)
+		}
+		prev = n
+	}
+	srv.mu.Lock()
+	held, finished := len(srv.jobs), len(srv.finished)
+	srv.mu.Unlock()
+	if held != jobLimit || finished != jobLimit {
+		t.Fatalf("server holds %d jobs, %d finished; want %d, %d", held, finished, jobLimit, jobLimit)
+	}
+
+	// Resubmitting the evicted sw-1 serves its bytes from the cache.
+	again := submit(t, ts, modelSpec, "")
+	for _, f := range formats {
+		if got := fetch(t, ts, again.Results+"?format="+f, http.StatusOK); !bytes.Equal(got, before[f]) {
+			t.Errorf("%s after eviction and resubmit:\n%s\n--- want ---\n%s", f, got, before[f])
+		}
+	}
+	// The streamed rows match; the trailer's accounting tells the cached
+	// run from the first.
+	rows := func(stream []byte) []byte {
+		body := bytes.TrimSuffix(stream, []byte("\n"))
+		return body[:bytes.LastIndexByte(body, '\n')+1]
+	}
+	if got := fetch(t, ts, again.Results+"?stream=1", http.StatusOK); !bytes.Equal(rows(got), rows(before["stream"])) {
+		t.Errorf("stream after eviction and resubmit:\n%s\n--- want ---\n%s", got, before["stream"])
+	}
+	if st := status(t, ts, again.ID); st.Executed != 0 || st.CacheHits != 1 {
+		t.Errorf("resubmitted job: executed %d, hits %d; want 0, 1", st.Executed, st.CacheHits)
+	}
+}
+
+// TestAdmissionBound: with jobLimit jobs queued or running, a
+// submission gets 503 with Retry-After, also when several clients
+// submit at once; once a queued job is cancelled and terminal, the next
+// submission is accepted.
+func TestAdmissionBound(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxJobs: 1, Workers: 1})
+	slow := submit(t, ts, slowSpec, "")
+	waitState(t, ts, slow.ID, StateRunning)
+
+	// jobLimit-1 queue behind it; the surplus must all be refused.
+	const clients, surplus = 8, 9
+	var mu sync.Mutex
+	var accepted []string
+	rejected := 0
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < (jobLimit-1+surplus)/clients; i++ {
+				code, raw, hdr, err := request(ts, http.MethodPost, "/v1/sweeps", testSpec)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				switch code {
+				case http.StatusAccepted:
+					var sub submitResponse
+					if err := json.Unmarshal(raw, &sub); err != nil {
+						t.Error(err)
+					}
+					accepted = append(accepted, sub.ID)
+				case http.StatusServiceUnavailable:
+					rejected++
+					if hdr.Get("Retry-After") != "1" {
+						t.Errorf("503 without Retry-After: 1: %v", hdr)
+					}
+				default:
+					t.Errorf("submit: %d %s", code, raw)
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if len(accepted) != jobLimit-1 || rejected != surplus {
+		t.Fatalf("accepted %d, rejected %d; want %d, %d", len(accepted), rejected, jobLimit-1, surplus)
+	}
+	code, raw, hdr, err := request(ts, http.MethodPost, "/v1/sweeps", testSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" || !bytes.Contains(raw, []byte("queued or running")) {
+		t.Fatalf("submit past the bound: %d %s (Retry-After %q), want 503", code, raw, hdr.Get("Retry-After"))
+	}
+
+	// Cancelling one queued job frees one place.
+	victim := accepted[len(accepted)/2]
+	if code, raw, _, err := request(ts, http.MethodDelete, "/v1/sweeps/"+victim, ""); err != nil || code != http.StatusOK {
+		t.Fatalf("DELETE %s: %d %s %v", victim, code, raw, err)
+	}
+	waitState(t, ts, victim, StateCancelled)
+	submit(t, ts, testSpec, "")
+	if code, raw, _, _ := request(ts, http.MethodPost, "/v1/sweeps", testSpec); code != http.StatusServiceUnavailable {
+		t.Fatalf("submit after the freed place was taken: %d %s, want 503", code, raw)
 	}
 }

@@ -74,8 +74,8 @@ type Stats struct {
 // cellJob is the canonical document a cell's content address is
 // computed from: every input that can change the cell's measurement.
 // encoding/json marshals maps with sorted keys, so the encoding is
-// canonical. Probe labels are excluded — they rename emitted columns
-// but never change values.
+// canonical. Probe and contrast labels are excluded — they change no
+// value.
 type cellJob struct {
 	Build    string            `json:"build,omitempty"`
 	Quality  string            `json:"quality"`
@@ -83,12 +83,19 @@ type cellJob struct {
 	Seed     int64             `json:"seed"`
 	KV       map[string]string `json:"kv"`
 	Probes   []probeJob        `json:"probes"`
-	Contrast *Contrast         `json:"contrast,omitempty"`
+	Contrast *contrastJob      `json:"contrast,omitempty"`
 }
 
 type probeJob struct {
 	Set    map[string]string `json:"set,omitempty"`
 	Metric string            `json:"metric,omitempty"`
+}
+
+// contrastJob is the keyed part of a Contrast. Reduce is normalised:
+// "pct_delta", the default, keys like an omitted reduce.
+type contrastJob struct {
+	Set    map[string]string `json:"set"`
+	Reduce string            `json:"reduce,omitempty"`
 }
 
 // cellKey computes a cell's content address. The seed entering the key
@@ -108,12 +115,17 @@ func (e *Engine) cellKey(s *Spec, c Cell) (string, error) {
 	}
 	seed = s.resolveSeed(seed, c.Index)
 	job := cellJob{
-		Build:    e.Build,
-		Quality:  e.Quality.String(),
-		Shared:   s.SharedInstance,
-		Seed:     seed,
-		KV:       c.KV,
-		Contrast: s.Contrast,
+		Build:   e.Build,
+		Quality: e.Quality.String(),
+		Shared:  s.SharedInstance,
+		Seed:    seed,
+		KV:      c.KV,
+	}
+	if ct := s.Contrast; ct != nil {
+		job.Contrast = &contrastJob{Set: ct.Set, Reduce: ct.Reduce}
+		if ct.Reduce == "pct_delta" {
+			job.Contrast.Reduce = ""
+		}
 	}
 	for _, p := range s.probes() {
 		job.Probes = append(job.Probes, probeJob{Set: p.Set, Metric: p.Metric})

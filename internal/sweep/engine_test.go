@@ -311,6 +311,62 @@ func TestEngineSeedZeroKeysSpecSeed(t *testing.T) {
 	}
 }
 
+// TestEngineContrastLabelSharesCache: a contrast's label changes no
+// value and "pct_delta" is the default reduce, so specs that differ
+// only in those share one cache entry; "delta" computes other values
+// and keys apart. The keys of an unlabelled contrast are pinned to
+// those of earlier builds, so existing cache entries keep serving.
+func TestEngineContrastLabelSharesCache(t *testing.T) {
+	spec := func(ct Contrast) *Spec {
+		ct.Set = map[string]string{"mps": "128"}
+		return &Spec{
+			Name:     "contrast-key",
+			Axes:     []Axis{StrAxis("transfer", "1500")},
+			Base:     map[string]string{"bench": "bw_rd", "model": "true"},
+			Contrast: &ct,
+		}
+	}
+	e := &Engine{Cache: cache.NewMemory(), Build: "test"}
+	run := func(ct Contrast) (*Result, Stats) {
+		t.Helper()
+		res, stats, err := e.Run(context.Background(), spec(ct))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, stats
+	}
+	first, _ := run(Contrast{})
+	for _, ct := range []Contrast{{Label: "small mps"}, {Reduce: "pct_delta"}, {Label: "x", Reduce: "pct_delta"}} {
+		res, stats := run(ct)
+		if stats.Executed != 0 || stats.Hits != 1 {
+			t.Errorf("label %q reduce %q: executed %d, hits %d; want 0, 1", ct.Label, ct.Reduce, stats.Executed, stats.Hits)
+		}
+		if res.Cells[0].Values[0] != first.Cells[0].Values[0] {
+			t.Errorf("label %q reduce %q: value %v, want %v", ct.Label, ct.Reduce, res.Cells[0].Values[0], first.Cells[0].Values[0])
+		}
+	}
+	if _, stats := run(Contrast{Reduce: "delta"}); stats.Executed != 1 {
+		t.Errorf(`reduce "delta" served the pct_delta entry (executed %d)`, stats.Executed)
+	}
+
+	for _, tc := range []struct {
+		ct   Contrast
+		want string
+	}{
+		{Contrast{Label: "small mps", Reduce: "pct_delta"}, "f82deb05a19d9c11938434a6ec8c377efa88afd8bf07e06702cc6f4052d5c5d4"},
+		{Contrast{Reduce: "delta"}, "7ce6c01e8b8a6c3cd99f6d3fbd8c915c9890429cb399a4762535464491c38ea4"},
+	} {
+		s := spec(tc.ct)
+		key, err := (&Engine{Build: "test"}).cellKey(s, s.Cells()[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key != tc.want {
+			t.Errorf("reduce %q: key %s, want %s", tc.ct.Reduce, key, tc.want)
+		}
+	}
+}
+
 // TestEngineCorruptCacheEntry: a torn or stale blob must fall back to
 // recomputation, never to a decode error or a wrong result.
 func TestEngineCorruptCacheEntry(t *testing.T) {

@@ -199,7 +199,8 @@ type Probe struct {
 // (perturbed), and the cell value is the reduction of the two — the
 // shape of the paper's NUMA (Fig 8) and IOMMU (Fig 9) experiments.
 type Contrast struct {
-	// Label names the perturbation in emitted grids.
+	// Label is a note for the reader of the spec: no output prints it,
+	// and it does not enter a cell's cache key.
 	Label string `json:"label,omitempty"`
 	// Set is the perturbed configuration delta (e.g. {"node": "1"} or
 	// {"iommu": "true"}).
