@@ -19,7 +19,8 @@
 // The LLC is modeled at full size (15–25 MB in Table 1), but a run only
 // touches its own buffers, so set storage is paged and allocated on the
 // first write into a page: building a system allocates no line
-// metadata at all.
+// metadata at all. A released system's pages go back to a pool, and
+// the next system to write into a page takes its storage from there.
 package mem
 
 import "sync"
@@ -153,20 +154,61 @@ func (c *Cache) live(pi uint64) *page {
 	return nil
 }
 
-// own returns page pi ready for a mutating touch: allocated on first
-// use, cleared when it still holds lines from before the last Thrash.
+// own returns page pi ready for a mutating touch: taken on first use
+// from the pool, or allocated when the pool is empty, and cleared when
+// it still holds lines from before the last Thrash or from the cache
+// that released it. A cleared page's tags and stamps are stale, but
+// every reader checks a way's state byte first.
 func (c *Cache) own(pi uint64) *page {
 	p := c.pages[pi]
 	switch {
 	case p == nil:
 		n := int(min(pageSets, c.nsets-pi<<pageShift)) * c.cfg.Ways
-		lines := make([]uint64, 2*n)
-		p = &page{tags: lines[:n:n], use: lines[n:], meta: make([]uint8, n)}
+		if p, _ = pagePool(n).Get().(*page); p != nil {
+			clear(p.meta)
+		} else {
+			lines := make([]uint64, 2*n)
+			p = &page{tags: lines[:n:n], use: lines[n:], meta: make([]uint8, n)}
+		}
 		c.pages[pi] = p
 	case p.epoch != c.epoch:
 		clear(p.meta)
 	}
 	p.epoch = c.epoch
+	return p
+}
+
+// release returns every allocated page to its pool and drops the
+// directory, so any later access panics instead of reading pages that
+// another cache may own by then.
+func (c *Cache) release() {
+	for _, p := range c.pages {
+		if p != nil {
+			pagePool(len(p.meta)).Put(p)
+		}
+	}
+	c.pages = nil
+}
+
+// Released pages wait in pagePools, keyed by slot count (sets in the
+// page × Ways), for the next cache that needs one: the 15 MB and 25 MB
+// LLCs of Table 1, all 20-way, share full pages, and a partial last
+// page has a pool of its own. A sync.Pool hands its pages to the
+// collector when nobody takes them, so an idle pool holds nothing.
+var (
+	pagePoolsMu sync.Mutex
+	pagePools   = map[int]*sync.Pool{}
+)
+
+// pagePool returns the pool of pages with n slots.
+func pagePool(n int) *sync.Pool {
+	pagePoolsMu.Lock()
+	defer pagePoolsMu.Unlock()
+	p := pagePools[n]
+	if p == nil {
+		p = new(sync.Pool)
+		pagePools[n] = p
+	}
 	return p
 }
 

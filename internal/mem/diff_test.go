@@ -29,6 +29,7 @@ const (
 	opThrash
 	opWarmHost
 	opWarmDevice
+	opRecycle
 )
 
 type diffOp struct {
@@ -44,10 +45,13 @@ func span(cfg CacheConfig) uint64 { return 4 * uint64(cfg.SizeBytes) }
 // matchReference applies ops to a fresh Cache and a fresh reference
 // cache and fails at the first divergence: any AccessResult, Contains
 // of the accessed line, the four counters, and (every 16 ops, after
-// every warm and at the end) Occupancy, DDIOOccupancy and the state of
-// every way. The Cache applies a warm through warm, in closed form when
-// its sets are cold; the reference applies it line by line. At the end
-// Contains must also agree on every line of the span.
+// every warm or recycle and at the end) Occupancy, DDIOOccupancy and
+// the state of every way. The Cache applies a warm through warm, in
+// closed form when its sets are cold; the reference applies it line by
+// line. A recycle releases the Cache and goes on with a new one of the
+// same geometry, whose pages come from the released ones, against a
+// fresh reference. At the end Contains must also agree on every line
+// of the span.
 func matchReference(t testing.TB, cfg CacheConfig, ops []diffOp) {
 	t.Helper()
 	c, ref := NewCache(cfg), newRefCache(cfg)
@@ -72,6 +76,9 @@ func matchReference(t testing.TB, cfg CacheConfig, ops []diffOp) {
 			device := op.kind == opWarmDevice
 			c.warm(op.ext, device)
 			refWarm(ref, op.ext, device)
+		case opRecycle:
+			c.release()
+			c, ref = NewCache(cfg), newRefCache(cfg)
 		}
 		if got != want {
 			t.Fatalf("%+v op %d %+v: result %+v, reference %+v", cfg, n, op, got, want)
@@ -147,8 +154,9 @@ func matchWays(t testing.TB, c *Cache, ref *refCache, n int, op diffOp) {
 
 // randomOps draws n operations: mostly within a hot window the size of
 // the cache (hits, LRU churn), a quarter across the whole span
-// (evictions, DDIO quota pressure), a rare Thrash, and one in 64 a host
-// or device warm, after a Thrash half the time so its sets are cold.
+// (evictions, DDIO quota pressure), a rare Thrash or recycle, and one
+// in 64 a host or device warm, after a Thrash half the time so its
+// sets are cold.
 func randomOps(cfg CacheConfig, rng *rand.Rand, n int) []diffOp {
 	ops := make([]diffOp, 0, n)
 	for len(ops) < n {
@@ -157,8 +165,11 @@ func randomOps(cfg CacheConfig, rng *rand.Rand, n int) []diffOp {
 			addr = uint64(rng.Int63n(int64(span(cfg))))
 		}
 		kind := uint8(rng.Intn(int(opThrash)))
-		if rng.Intn(2000) == 0 {
+		switch rng.Intn(2000) {
+		case 0:
 			kind = opThrash
+		case 1:
+			kind = opRecycle
 		}
 		if rng.Intn(64) == 0 {
 			if rng.Intn(2) == 0 {
@@ -167,7 +178,7 @@ func randomOps(cfg CacheConfig, rng *rand.Rand, n int) []diffOp {
 			kind = opWarmHost + uint8(rng.Intn(2))
 		}
 		op := diffOp{kind: kind, addr: addr}
-		if kind >= opWarmHost {
+		if kind == opWarmHost || kind == opWarmDevice {
 			op.ext = randomExtents(cfg, rng, addr)
 		}
 		ops = append(ops, op)
@@ -218,7 +229,8 @@ const maxFuzzOps = 1024
 // decodeOps turns fuzz input into a geometry and operations. The first
 // byte picks the geometry; each following 3-byte group is one op: a
 // kind byte and a 16-bit address in 8-byte units, wrapped to the span.
-// Kind 0xff is Thrash, so state builds up between thrashes. Kinds
+// Kind 0xff is Thrash, so state builds up between thrashes, and 0xef a
+// recycle, so pages a cache filled serve the next one. Kinds
 // 0xf0–0xfe are warms: the low bit picks a device warm, the next two
 // bits one to four extents, and each extent is the next group: its
 // first byte b makes the size (b+1)/256 of the cache and its address is
@@ -235,6 +247,8 @@ func decodeOps(data []byte) (CacheConfig, []diffOp) {
 		switch {
 		case data[0] == 0xff:
 			op.kind = opThrash
+		case data[0] == 0xef:
+			op.kind = opRecycle
 		case data[0] >= 0xf0:
 			op.kind = opWarmHost + data[0]&1
 			for range 1 + int(data[0]>>1&3) {

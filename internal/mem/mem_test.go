@@ -2,6 +2,8 @@ package mem
 
 import (
 	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -404,6 +406,125 @@ func TestNewSystemAllocatesNoLines(t *testing.T) {
 		if got := allocatedPages(s.Node(n)); got != 0 {
 			t.Errorf("node %d: %d pages allocated before any access", n, got)
 		}
+	}
+}
+
+// raceEnabled is set when the race detector is on (race_test.go).
+var raceEnabled bool
+
+// A released system's pages serve the next system built: a second
+// Broadwell memory system takes the 64 MB host warm that filled the
+// first one's 320 node-0 pages (~7 MB) without allocating them again,
+// and ends in the same state.
+func TestReleasedPagesServeTheNextSystem(t *testing.T) {
+	// A collection empties the pools; hold it off while measuring. On
+	// one P, a pool's per-P private slot, which other Ps cannot take
+	// from, stays in reach: the warm's counters are one pooled slice.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	warm := []Extent{{Addr: 0, Size: 64 << 20}}
+	first, err := NewSystem(bdwConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.WarmHost(0, warm)
+	c := first.Node(0)
+	pages, occ, counts := allocatedPages(c), c.Occupancy(), [4]uint64{c.Hits, c.Misses, c.Evictions, c.Writebacks}
+	first.Release()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	second, err := NewSystem(bdwConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	second.WarmHost(0, warm)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 && !raceEnabled {
+		t.Errorf("NewSystem and a 64 MB warm after Release allocated %d bytes, want < 64 KB", got)
+	}
+	c = second.Node(0)
+	if got := allocatedPages(c); got != pages {
+		t.Errorf("%d pages after the warm, want %d", got, pages)
+	}
+	if got := c.Occupancy(); got != occ {
+		t.Errorf("Occupancy %d after the warm on recycled pages, want %d", got, occ)
+	}
+	if got := [4]uint64{c.Hits, c.Misses, c.Evictions, c.Writebacks}; got != counts {
+		t.Errorf("hits/misses/evictions/writebacks %v on recycled pages, want %v", got, counts)
+	}
+}
+
+// Systems built, warmed and released on several goroutines at once,
+// as an engine's workers do, trade pages through the pools and each
+// ends every round in the state of the first: a page is never in two
+// caches at once.
+func TestReleaseConcurrent(t *testing.T) {
+	cfg := sysConfig()
+	cfg.Cache = refGeometries[1] // a full page and a partial one
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	warm := []Extent{{Addr: 0, Size: 3 * cfg.Cache.SizeBytes}}
+	round := func() [3]uint64 {
+		s, _ := NewSystem(cfg) // cfg is valid, so NewSystem cannot fail
+		defer s.Release()
+		s.WarmHost(0, warm)
+		s.WarmDevice(1, warm)
+		for a := uint64(0); a < 4096; a += 64 {
+			s.Access(true, 0, a, 8)
+			s.Access(false, 1, a, 64)
+		}
+		return [3]uint64{uint64(s.Node(0).Occupancy()), uint64(s.Node(1).DDIOOccupancy()), s.Node(0).Hits}
+	}
+	want := round()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				if got := round(); got != want {
+					t.Errorf("occupancy, DDIO occupancy and hits %v, want %v", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// Every use of a released system, or of a node LLC taken from it
+// before, panics instead of reading pages another system may own; a
+// second Release does nothing.
+func TestReleasedSystemPanics(t *testing.T) {
+	s, err := NewSystem(bdwConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.Node(1)
+	s.WarmHost(1, []Extent{{Addr: 0, Size: 1 << 20}})
+	s.Release()
+	s.Release()
+	ext := []Extent{{Addr: 0, Size: 4096}}
+	for name, use := range map[string]func(){
+		"Access":           func() { s.Access(false, 0, 0, 64) },
+		"AccessFrom":       func() { s.AccessFrom(true, 1, 1, 0, 256) },
+		"WarmHost":         func() { s.WarmHost(0, ext) },
+		"WarmDevice":       func() { s.WarmDevice(1, ext) },
+		"Node":             func() { s.Node(0) },
+		"Cache.DeviceRead": func() { c.DeviceRead(0) },
+		"Cache.HostTouch":  func() { c.HostTouch(0, true) },
+		"Cache.Contains":   func() { c.Contains(0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Release did not panic", name)
+				}
+			}()
+			use()
+		}()
 	}
 }
 

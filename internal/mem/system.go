@@ -183,6 +183,18 @@ func (s *System) llc(node int) *Cache {
 	return s.nodes[node]
 }
 
+// Release hands the storage of every node's LLC pages to the next
+// system built, and leaves this one unusable: an Access, a warm or a
+// Node lookup after it panics instead of reading pages another system
+// may own by then. A second call does nothing. Release a system only
+// when nothing will touch it again.
+func (s *System) Release() {
+	for _, c := range s.nodes {
+		c.release()
+	}
+	s.nodes = nil
+}
+
 // Thrash resets every node's LLC to a cold state.
 func (s *System) Thrash() {
 	for _, n := range s.nodes {

@@ -43,7 +43,10 @@
 //	                                 incremental NDJSON rows in
 //	                                 enumeration order with a trailer
 //	                                 object carrying the accounting.
-//	DELETE /v1/sweeps/{id}           cancel a queued or running job.
+//	DELETE /v1/sweeps/{id}           cancel a queued or running job
+//	                                 (200); a finished one answers 409
+//	                                 with its state, cancelling
+//	                                 nothing.
 //	GET    /v1/registry              registered sweeps and their axes.
 //	GET    /v1/cache                 cache entries and aggregate
 //	                                 hit/executed counters.
@@ -193,7 +196,7 @@ func apiError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// writeJSON emits a 2xx JSON body.
+// writeJSON emits a JSON body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -476,9 +479,16 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// handleCancel cancels a queued or running job. A job already in a
+// terminal state answers 409 with that state and is left as it is.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(w, r.PathValue("id"))
 	if !ok {
+		return
+	}
+	if state, _, _, _, _ := j.snapshot(); terminal(state) {
+		writeJSON(w, http.StatusConflict, map[string]string{"id": j.id, "state": state,
+			"error": fmt.Sprintf("sweep %s already finished (%s); nothing to cancel", j.id, state)})
 		return
 	}
 	j.cancel()

@@ -388,6 +388,11 @@ func TestCancelMidJob(t *testing.T) {
 	if st.Done >= st.Cells {
 		t.Fatalf("cancelled job completed all %d cells", st.Cells)
 	}
+	// A second DELETE finds the job cancelled already.
+	if code, raw, _, err := request(ts, http.MethodDelete, "/v1/sweeps/"+sub.ID, ""); err != nil ||
+		code != http.StatusConflict || !bytes.Contains(raw, []byte(`"state":"cancelled"`)) {
+		t.Errorf("second DELETE: %d %s %v, want 409 in state cancelled", code, raw, err)
+	}
 	// Fetching results of a cancelled job reports the conflict.
 	fetch(t, ts, "/v1/sweeps/"+sub.ID+"/results", http.StatusConflict)
 }
@@ -670,6 +675,33 @@ func request(ts *httptest.Server, method, path, body string) (int, []byte, http.
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	return resp.StatusCode, raw, resp.Header, err
+}
+
+// TestCancelFinishedJob: DELETE on a job that already finished
+// cancels nothing and answers 409 with the job's id and its actual
+// state; the job and its results stay as they were.
+func TestCancelFinishedJob(t *testing.T) {
+	_, ts := newTestServer(t, Config{Cache: cache.NewMemory(), Build: "test"})
+	sub := submit(t, ts, modelSpec, "")
+	waitState(t, ts, sub.ID, StateDone)
+	before := fetch(t, ts, sub.Results, http.StatusOK)
+	code, raw, _, err := request(ts, http.MethodDelete, "/v1/sweeps/"+sub.ID, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]string
+	if err := json.Unmarshal(raw, &body); err != nil {
+		t.Fatalf("DELETE body %s: %v", raw, err)
+	}
+	if code != http.StatusConflict || body["id"] != sub.ID || body["state"] != StateDone {
+		t.Fatalf("DELETE on a finished job: %d %s, want 409 with id %s and state %s", code, raw, sub.ID, StateDone)
+	}
+	if st := status(t, ts, sub.ID); st.State != StateDone {
+		t.Errorf("job state %q after DELETE, want %q", st.State, StateDone)
+	}
+	if after := fetch(t, ts, sub.Results, http.StatusOK); !bytes.Equal(after, before) {
+		t.Errorf("results changed after DELETE:\n%s\nwant\n%s", after, before)
+	}
 }
 
 // TestRetentionEvictsOldest: a server keeps the jobLimit jobs that

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"pciebench/internal/cache"
@@ -522,4 +523,49 @@ func TestSingleTrace(t *testing.T) {
 			t.Errorf("traced %v accepted", kv)
 		}
 	}
+}
+
+// TestEngineRecyclesLLCPages: an engine cell releases the instance it
+// built, so the second run of a one-cell 64 MB warm window takes the
+// LLC pages the first one filled instead of allocating them again.
+func TestEngineRecyclesLLCPages(t *testing.T) {
+	s := &Spec{
+		Name: "recycle",
+		Axes: []Axis{StrAxis("window", "64M")},
+		Base: map[string]string{"bench": "bw_rd", "transfer": "64", "cache": "warm", "n": "200"},
+	}
+	// Two collections empty the pools of pages earlier tests released;
+	// holding collection off then keeps what the first run releases.
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := (&Engine{}).Run(context.Background(), s); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first := run()
+	second := run()
+	if second > first/2 {
+		t.Errorf("second run allocated %d bytes, first %d: want less than half", second, first)
+	}
+}
+
+// TestSingleKeepsFabricMemory: Single hands its fabric to the caller,
+// so it never releases the memory system. The warmed window is still
+// resident after the call, and an access does not panic.
+func TestSingleKeepsFabricMemory(t *testing.T) {
+	d, err := Single(map[string]string{"bench": "lat_rd", "window": "64K", "transfer": "64", "cache": "warm", "n": "100", "seed": "1"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := d.Fabric.Mem
+	if n := ms.Node(0).Occupancy(); n == 0 {
+		t.Error("the warm window's lines are gone after Single returned")
+	}
+	ms.Access(false, 0, 0, 64)
 }

@@ -174,6 +174,7 @@ func (s *Spec) runCell(c Cell, q Quality, workers int) (CellResult, error) {
 		if err != nil {
 			return res, err
 		}
+		defer shared.Mem.Release()
 	}
 	// Probes that apply no overrides and need no CDF observe the very
 	// same run, so the first measurement is reused for the rest — a
@@ -311,7 +312,9 @@ func Single(kv map[string]string, tr trace.Tracer) (*Detail, error) {
 // (probe order is then the simulation order); otherwise the probe
 // builds its own fresh instance, like the paper's per-point runs. A
 // non-nil d receives the run's result and fabric, and its tracer the
-// fresh instance's TLPs.
+// fresh instance's TLPs. With a nil d, as every engine cell passes,
+// nothing outlives the call, so an instance the probe built releases
+// its memory system's pages for the next one.
 func measure(cfg Config, shared *sysconf.Instance, wantCDF bool, workers int, d *Detail) (Measurement, error) {
 	if cfg.Model {
 		return measureModel(cfg), nil
@@ -328,6 +331,8 @@ func measure(cfg Config, shared *sysconf.Instance, wantCDF bool, workers int, d 
 		}
 		if d != nil {
 			inst.RC.SetTracer(d.tracer)
+		} else {
+			defer inst.Mem.Release()
 		}
 	}
 	m, err := measureInstance(inst, cfg, wantCDF, d)
@@ -446,7 +451,8 @@ func measureWorkload(inst *sysconf.Instance, cfg Config, d *Detail) (Measurement
 // count; see internal/topo); the p2p benchmark couples its endpoints
 // and always builds serially. A non-nil d also turns on the switches'
 // wait sampling, which allocates per TLP and so stays off in engine
-// cells.
+// cells; a nil d releases the fabric's memory system when the run is
+// done, as measure does.
 func measureFabric(cfg Config, workers int, d *Detail) (Measurement, error) {
 	sys, err := sysconf.ByName(cfg.System)
 	if err != nil {
@@ -463,6 +469,8 @@ func measureFabric(cfg Config, workers int, d *Detail) (Measurement, error) {
 		for _, sw := range fab.Switches {
 			sw.EnableWaitSampling()
 		}
+	} else {
+		defer fab.Mem.Release()
 	}
 	if cfg.Bench == BenchP2P {
 		res, err := topo.RunP2P(fab, cfg.P2P, cfg.Params.TransferSize, cfg.Params.Transactions)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"pciebench/internal/bench"
@@ -401,10 +402,16 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// registerTestSpec registers registry-test once per test binary, so
+// TestRegistry also passes under -count > 1.
+var registerTestSpec sync.Once
+
 func TestRegistry(t *testing.T) {
-	s := testSpec()
-	s.Name = "registry-test"
-	Register(s)
+	registerTestSpec.Do(func() {
+		s := testSpec()
+		s.Name = "registry-test"
+		Register(s)
+	})
 	got, err := ByName("registry-test")
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ package sysconf
 
 import (
 	"fmt"
+	"slices"
 
 	"pciebench/internal/bench"
 	"pciebench/internal/device"
@@ -114,7 +115,24 @@ func XeonE3Jitter() rc.Jitter {
 	return j
 }
 
-// Systems returns Table 1: the six measured configurations.
+// Systems returns a copy of Table 1: the six measured configurations.
+func Systems() []System { return slices.Clone(table) }
+
+// ByName returns the named system.
+func ByName(name string) (System, error) {
+	for i := range table {
+		if table[i].Name == name {
+			return table[i], nil
+		}
+	}
+	return System{}, fmt.Errorf("sysconf: unknown system %q", name)
+}
+
+// table is Table 1, built once. Its systems share their jitter models,
+// which nothing writes after NewQuantileJitter.
+var table = tableOne()
+
+// tableOne builds Table 1.
 //
 // The common Xeon E5 host calibration anchors to: NFP bulk-DMA 64B warm
 // read median 547 ns on Haswell (Fig 6), NetFPGA ~450 ns (Fig 5),
@@ -123,7 +141,7 @@ func XeonE3Jitter() rc.Jitter {
 // every ~4 ns (§4.2). Per-system WireDelay trims reproduce the small
 // baseline differences the paper reports between generations (e.g. 64B
 // reads at ~430 ns on Broadwell in §6.5 vs ~450 ns on Haswell).
-func Systems() []System {
+func tableOne() []System {
 	e5 := func(name, cpu, numaStr, arch, memory, os string, nodes int, llcMB int, adapter Adapter, wire sim.Time) System {
 		return System{
 			Name: name, CPU: cpu, NUMA: numaStr, Arch: arch, Memory: memory, OS: os,
@@ -153,16 +171,6 @@ func Systems() []System {
 		e5("NFP6000-SNB", "Intel Xeon E5-2630 2.3GHz", "no", "Sandy Bridge",
 			"16GB", "Ubuntu 3.19.0-30", 1, 15, NFP6000, 126*sim.Nanosecond),
 	}
-}
-
-// ByName returns the named system.
-func ByName(name string) (System, error) {
-	for _, s := range Systems() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return System{}, fmt.Errorf("sysconf: unknown system %q", name)
 }
 
 // DefaultBufferSize is the host DMA buffer size Build allocates when

@@ -65,6 +65,32 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// ByName reads the table built once, so a lookup allocates nothing,
+// and Systems hands out a copy: editing it leaves the table as it was.
+func TestByNameReadsOneTable(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { ByName("NFP6000-SNB") }); allocs != 0 {
+		t.Errorf("ByName allocated %v times per call, want 0", allocs)
+	}
+	want, err := ByName("NFP6000-BDW")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := Systems()
+	for i := range edited {
+		edited[i].LLCBytes, edited[i].Jitter = 1, nil
+		if edited[i].Name == "NFP6000-BDW" {
+			edited[i].Name = "edited"
+		}
+	}
+	got, err := ByName("NFP6000-BDW")
+	if err != nil || got != want {
+		t.Errorf("ByName after editing Systems(): %+v, %v; want %+v", got, err, want)
+	}
+	if s := Systems(); s[0] != want {
+		t.Errorf("Systems()[0] after editing a copy: %+v, want %+v", s[0], want)
+	}
+}
+
 func TestBuildDefaults(t *testing.T) {
 	s, _ := ByName("NFP6000-HSW")
 	inst, err := s.Build(Options{})

@@ -336,13 +336,24 @@ type pending struct {
 	arrival sim.Time
 }
 
-// Buffer pools shared across runs: completion-latency sample buffers
-// and open-loop backlogs are returned after each Run, so repeated runs
-// (sweep grids, benchmarks) stop reallocating them.
+// Pools shared across runs: completion-latency sample buffers,
+// open-loop backlogs and random generators are returned after each
+// Run, so repeated runs (sweep grids, benchmarks) stop reallocating
+// them.
 var (
 	latBufPool  = sync.Pool{New: func() any { s := make([]float64, 0, 1024); return &s }}
 	backlogPool = sync.Pool{New: func() any { s := make([]pending, 0, 64); return &s }}
+	rngPool     = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 )
+
+// getRNG borrows a generator seeded with seed: its stream is that of
+// rand.New(rand.NewSource(seed)), without allocating the ~4.9 KB of
+// source state again.
+func getRNG(seed int64) *rand.Rand {
+	r := rngPool.Get().(*rand.Rand)
+	r.Seed(seed)
+	return r
+}
 
 // getLatBuf borrows an empty latency buffer; putLatBuf returns it with
 // its (possibly grown) storage. The *[]float64 box from Get round-trips
@@ -549,7 +560,7 @@ func newRunState(k *sim.Kernel, path Path, bufDMA uint64, cfg Config, pairs int,
 		k:       k,
 		complex: path,
 		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     getRNG(seed),
 		queues:  make([]queueState, cfg.Queues),
 		pairs:   pairs,
 		closed:  cfg.Arrival.Saturating(),
@@ -575,8 +586,9 @@ func newRunState(k *sim.Kernel, path Path, bufDMA uint64, cfg Config, pairs int,
 	return s
 }
 
-// release returns the state's pooled buffers.
+// release returns the state's pooled buffers and generator.
 func (s *runState) release() {
+	rngPool.Put(s.rng)
 	for q := range s.queues {
 		qs := &s.queues[q]
 		if qs.latPtr != nil {

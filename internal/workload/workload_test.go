@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -329,19 +330,49 @@ func TestPerQueueModerationApplies(t *testing.T) {
 	}
 }
 
+// Back-to-back runs on fresh stacks, closed and open loop, replay
+// exactly; each run reseeds the generator the run before it returned
+// to the pool.
 func TestDeterministicReplay(t *testing.T) {
-	cfg := Config{
-		Queues: 3, Sizes: IMIX(), Window: 8, Seed: 99,
+	arr, err := Poisson(3e6, 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a := mustRun(t, cfg, 1500)
-	b := mustRun(t, cfg, 1500)
-	if !reflect.DeepEqual(a, b) {
-		t.Error("identical configs produced different results")
+	for _, cfg := range []Config{
+		{Queues: 3, Sizes: IMIX(), Arrival: Saturate(), Window: 8, Seed: 99},
+		{Queues: 4, Flows: 1 << 16, Sizes: IMIX(), Arrival: arr, Window: 8, Seed: 99},
+	} {
+		a := mustRun(t, cfg, 1500)
+		b := mustRun(t, cfg, 1500)
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: identical configs produced different results", cfg.Arrival)
+		}
+		cfg.Seed = 100
+		c := mustRun(t, cfg, 1500)
+		if reflect.DeepEqual(a.Latency, c.Latency) {
+			t.Errorf("%s: different seeds produced identical latency distributions", cfg.Arrival)
+		}
 	}
-	cfg.Seed = 100
-	c := mustRun(t, cfg, 1500)
-	if reflect.DeepEqual(a.Latency, c.Latency) {
-		t.Error("different seeds produced identical latency distributions")
+}
+
+// A generator drawn from the pool and reseeded gives the stream of a
+// fresh rand.New(rand.NewSource(seed)), whatever it drew before.
+func TestPooledRNGMatchesFreshSource(t *testing.T) {
+	for seed := int64(-3); seed < 60; seed++ {
+		got, want := getRNG(seed), rand.New(rand.NewSource(seed))
+		type draws struct {
+			i63  int64
+			n    int
+			f, e float64
+		}
+		for i := 0; i < 200; i++ {
+			g := draws{got.Int63(), got.Intn(1 << 20), got.Float64(), got.ExpFloat64()}
+			w := draws{want.Int63(), want.Intn(1 << 20), want.Float64(), want.ExpFloat64()}
+			if g != w {
+				t.Fatalf("seed %d draw %d: pooled generator %v, fresh %v", seed, i, g, w)
+			}
+		}
+		rngPool.Put(got)
 	}
 }
 
