@@ -206,10 +206,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown benchmark %q", *benchSel)
 	}
 	// A single run is the one-cell sweep of the flags the user set,
-	// over the flag defaults that differ from a bare cell's.
+	// over the flag defaults that differ from a bare cell's, for the
+	// keys its kind accepts.
 	kv := map[string]string{}
+	accepted := sweep.KeysFor(strings.ToLower(*benchSel))
 	for _, name := range []string{"window", "transfer", "cache", "n", "seed", "sizes"} {
-		kv[name] = fs.Lookup(name).DefValue
+		if slices.Contains(accepted, name) {
+			kv[name] = fs.Lookup(name).DefValue
+		}
 	}
 	fs.Visit(func(f *flag.Flag) {
 		key, ok := cellKeys[f.Name]

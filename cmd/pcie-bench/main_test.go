@@ -236,6 +236,15 @@ func TestTopologyFlagErrors(t *testing.T) {
 	}
 }
 
+// TestForeignKindFlag: a flag set for another benchmark kind fails
+// the run, naming the keys its kind accepts.
+func TestForeignKindFlag(t *testing.T) {
+	_, err := runCLI(t, "-bench", "lat_rd", "-queues", "4")
+	if err == nil || !strings.Contains(err.Error(), `queues="4": unknown parameter for bench "lat_rd" (valid: `) {
+		t.Errorf("-queues on lat_rd: %v, want the lat_rd keys", err)
+	}
+}
+
 // TestFaultFlags drives the -ber/-cto/-retrain CLI surface: a faulty
 // workload run prints per-endpoint AER-style counter lines, a
 // zero-fault run prints none, and bad values error before any

@@ -272,13 +272,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			overrides = append(overrides, key+"="+v)
 		}
 	}
-	if err := spec.ApplyOverrides(overrides); err != nil {
-		apiError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := spec.Validate(); err != nil {
-		apiError(w, http.StatusBadRequest, "%v", err)
-		return
+	// Decode validated a bare document and Register a registered sweep,
+	// so only overrides leave something to validate. The job resolves
+	// its cells again when it runs and keeps none of them queued.
+	if len(overrides) > 0 {
+		if err := spec.ApplyOverrides(overrides); err != nil {
+			apiError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		if err := spec.Validate(); err != nil {
+			apiError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
 	}
 
 	quality := s.cfg.Quality

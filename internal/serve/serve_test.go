@@ -314,8 +314,9 @@ func TestCacheAccounting(t *testing.T) {
 	}
 }
 
-// registerTestSweep registers serve-test-reg once per test binary, so
-// the test that needs it also passes under -count > 1.
+// registerTestSweep registers serve-test-reg and serve-test-bw once per
+// test binary, so the test that needs them also passes under
+// -count > 1.
 var registerTestSweep sync.Once
 
 // TestOverridesAndRegisteredSweeps drives the envelope submission form
@@ -327,6 +328,11 @@ func TestOverridesAndRegisteredSweeps(t *testing.T) {
 			Axes: []sweep.Axis{sweep.StrAxis("transfer", "64")},
 			Base: map[string]string{"bench": "lat_rd", "n": "1K", "window": "8K"},
 		})
+		sweep.Register(&sweep.Spec{
+			Name: "serve-test-bw",
+			Axes: []sweep.Axis{sweep.StrAxis("transfer", "64")},
+			Base: map[string]string{"bench": "bw_rd", "n": "200", "window": "8K"},
+		})
 	})
 	_, ts := newTestServer(t, Config{})
 
@@ -336,6 +342,18 @@ func TestOverridesAndRegisteredSweeps(t *testing.T) {
 		t.Fatalf("override ignored: %+v", sub)
 	}
 	waitState(t, ts, sub.ID, StateDone)
+
+	// Register validated the sweep, so an envelope without overrides
+	// runs it as registered; one whose override makes a cell unrunnable
+	// is still answered 400 before it is queued.
+	waitState(t, ts, submit(t, ts, `{"run": "serve-test-bw"}`, "").ID, StateDone)
+	code, body, _, err := request(ts, http.MethodPost, "/v1/sweeps", `{"run": "serve-test-bw", "overrides": ["window=128M"]}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "larger than the host buffer") {
+		t.Errorf("unrunnable override: %d %s, want 400 naming the host buffer", code, body)
+	}
 
 	// Query ?set= overrides compose the same way.
 	sub = submit(t, ts, testSpec, "?set=transfer%3D64%2C128%2C256%2C512")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"pciebench/internal/cache"
@@ -153,29 +154,33 @@ type cachedCell struct {
 // the misses on the worker pool and returns the assembled result plus
 // the hit/miss accounting.
 func (e *Engine) Run(ctx context.Context, s *Spec) (*Result, Stats, error) {
-	if err := s.Validate(); err != nil {
+	if err := s.checkShape(); err != nil {
 		return nil, Stats{}, err
 	}
-	cells := s.Cells()
-	stats := Stats{Cells: len(cells)}
-	results := make([]CellResult, len(cells))
-	ready := make([]bool, len(cells))
+	n := s.Count()
+	stats := Stats{Cells: n}
+	results := make([]CellResult, n)
+	ready := make([]bool, n)
 
 	// st serializes OnCell/Progress delivery and enforces enumeration
 	// order: a finished cell is published only once all its
 	// predecessors are.
-	st := &streamState{engine: e, results: results, ready: ready, total: len(cells)}
+	st := &streamState{engine: e, results: results, ready: ready, total: n}
 
+	// Each cell resolves once, in the pass that validates the grid; only
+	// a miss keeps its resolved probes, for its run.
 	type miss struct {
-		cell Cell
-		key  string
+		cell   Cell
+		probes resolvedProbes
+		key    string
 	}
 	var misses []miss
-	for _, c := range cells {
+	err := s.resolveCells(func(c Cell, probes resolvedProbes) error {
+		var key string
 		if e.Cache != nil {
-			key, err := e.cellKey(s, c)
-			if err != nil {
-				return nil, stats, fmt.Errorf("sweep: %s cell %d: cache key: %w", s.Name, c.Index, err)
+			var err error
+			if key, err = e.cellKey(s, c); err != nil {
+				return fmt.Errorf("sweep: %s cell %d: cache key: %w", s.Name, c.Index, err)
 			}
 			if blob, ok := e.Cache.Get(key); ok {
 				var cc cachedCell
@@ -183,7 +188,7 @@ func (e *Engine) Run(ctx context.Context, s *Spec) (*Result, Stats, error) {
 					results[c.Index] = CellResult{Cell: c, Meas: cc.Meas, Values: cc.Values}
 					ready[c.Index] = true
 					stats.Hits++
-					continue
+					return nil
 				} else if q, ok := e.Cache.(interface{ Quarantine(key, reason string) }); ok {
 					// Stores that can (the disk cache) move the corrupt
 					// blob aside, so it is recomputed once — not re-read
@@ -192,10 +197,13 @@ func (e *Engine) Run(ctx context.Context, s *Spec) (*Result, Stats, error) {
 				}
 				// A corrupt entry is just a miss; recompute below.
 			}
-			misses = append(misses, miss{cell: c, key: key})
-			continue
 		}
-		misses = append(misses, miss{cell: c})
+		probes = resolvedProbes{slices.Clone(probes.cfgs), slices.Clone(probes.perts)}
+		misses = append(misses, miss{cell: c, probes: probes, key: key})
+		return nil
+	})
+	if err != nil {
+		return nil, Stats{}, err
 	}
 	stats.Executed = len(misses)
 	st.flush() // publish the leading run of cache hits immediately
@@ -204,9 +212,9 @@ func (e *Engine) Run(ctx context.Context, s *Spec) (*Result, Stats, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	_, err := runner.Map(ctx, misses, workers,
+	_, err = runner.Map(ctx, misses, workers,
 		func(_ context.Context, _ int, m miss) (struct{}, error) {
-			res, err := s.runCell(m.cell, e.Quality, workers)
+			res, err := s.runCell(m.cell, m.probes, e.Quality, workers)
 			if err != nil {
 				return struct{}{}, err
 			}

@@ -137,11 +137,6 @@ type Result struct {
 	Cells []CellResult
 }
 
-// cellSeed resolves the seed a cell builds its instances from.
-func (s *Spec) cellSeed(cfg *Config, index int) {
-	cfg.Opt.Seed = s.resolveSeed(cfg.Opt.Seed, index)
-}
-
 // resolveSeed turns a cell's seed value (its "seed" key, 0 when unset)
 // into the seed its run uses: 0 defers to the spec's Seed, and per-cell
 // seeding mixes in the cell index. The cache key and the run both
@@ -159,19 +154,17 @@ func (s *Spec) resolveSeed(seed int64, index int) int64 {
 	return runner.Seed(seed, index)
 }
 
-// runCell measures every probe of one cell; a workload fabric cell
-// runs its islands on up to workers goroutines.
-func (s *Spec) runCell(c Cell, q Quality, workers int) (CellResult, error) {
+// runCell measures every probe of one cell from its resolved probes
+// (resolveCells); a workload fabric cell runs its islands on up to
+// workers goroutines. A shared instance is built from probe 0: probe
+// sets may not change how an instance builds, so every probe's System
+// and Opt are the cell's.
+func (s *Spec) runCell(c Cell, probes resolvedProbes, q Quality, workers int) (CellResult, error) {
 	res := CellResult{Cell: c}
 	var shared *sysconf.Instance
 	if s.SharedInstance {
-		cfg, err := resolveConfig(c.KV)
-		if err != nil {
-			return res, err
-		}
-		s.cellSeed(&cfg, c.Index)
-		shared, err = buildInstance(cfg)
-		if err != nil {
+		var err error
+		if shared, err = buildInstance(probes.cfgs[0]); err != nil {
 			return res, err
 		}
 		defer shared.Mem.Release()
@@ -183,12 +176,7 @@ func (s *Spec) runCell(c Cell, q Quality, workers int) (CellResult, error) {
 	// their own runs, preserving the paper figures' semantics.
 	var memo, memoPert *Measurement
 	for pi, p := range s.probes() {
-		kv := s.mergedKV(c.KV, p.Set)
-		cfg, err := resolveConfig(kv)
-		if err != nil {
-			return res, err
-		}
-		s.cellSeed(&cfg, c.Index)
+		cfg := probes.cfgs[pi]
 		metric := metricFor(p, cfg.Bench)
 		if cfg.Params.Transactions == 0 {
 			cfg.Params.Transactions = q.Transactions(cfg.Bench, metric)
@@ -197,6 +185,7 @@ func (s *Spec) runCell(c Cell, q Quality, workers int) (CellResult, error) {
 		memoable := len(p.Set) == 0 && !wantCDF
 
 		var m Measurement
+		var err error
 		if memoable && memo != nil {
 			m = *memo
 		} else {
@@ -215,11 +204,7 @@ func (s *Spec) runCell(c Cell, q Quality, workers int) (CellResult, error) {
 			if memoable && memoPert != nil {
 				pm = *memoPert
 			} else {
-				pcfg, err := resolveConfig(s.mergedKV(kv, s.Contrast.Set))
-				if err != nil {
-					return res, err
-				}
-				s.cellSeed(&pcfg, c.Index)
+				pcfg := probes.perts[pi]
 				if pcfg.Params.Transactions == 0 {
 					pcfg.Params.Transactions = q.Transactions(pcfg.Bench, metric)
 				}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -87,7 +89,9 @@ func TestBerGoodputSpecMirrorsRegistered(t *testing.T) {
 // FuzzDecode holds the spec wire format to its contract on inputs
 // nobody wrote, seeded with every spec file in the repository. A
 // document Decode accepts expands to exactly Count cells, indexed in
-// order, each assigning its coordinates; and it survives a JSON round
+// order, each assigning its coordinates; every probe of every cell
+// (and its contrast) resolves from its layers exactly as from their
+// merged map, with the same error or none; and it survives a JSON round
 // trip with the same cells and probe labels. No cell runs; Validate's
 // measurement bound keeps expansion small.
 func FuzzDecode(f *testing.F) {
@@ -114,6 +118,24 @@ func FuzzDecode(f *testing.F) {
 			for ai, a := range s.Axes {
 				if v := c.KV[a.Name]; v != c.Coord[ai] || !slices.Contains(a.Values, v) {
 					t.Fatalf("cell %d: %s=%q, coordinate %q", i, a.Name, v, c.Coord[ai])
+				}
+			}
+			for pi, p := range s.probes() {
+				stacks := [][]map[string]string{{c.KV, p.Set}}
+				if s.Contrast != nil {
+					stacks = append(stacks, []map[string]string{c.KV, p.Set, s.Contrast.Set})
+				}
+				for _, layers := range stacks {
+					merged := map[string]string{}
+					for _, m := range layers {
+						maps.Copy(merged, m)
+					}
+					got, gotErr := resolveConfig(layers...)
+					want, wantErr := resolveConfig(merged)
+					if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+						t.Fatalf("cell %d probe %d: layers %v resolve to %+v (%v), merged to %+v (%v)",
+							i, pi, layers, got, gotErr, want, wantErr)
+					}
 				}
 			}
 		}

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -314,18 +315,16 @@ func (c *Config) usesFabric() bool {
 	return c.Bench == BenchP2P || !c.Shape.Degenerate()
 }
 
-// resolveRunnable resolves kv like resolveConfig and also rejects a
-// configuration that could only fail once its cell runs: a negative
+// resolveRunnable resolves layers like resolveConfig and also rejects
+// a configuration that could only fail once its cell runs: a negative
 // count on any kind, a p2p or loopback cell without a transfer, and a
 // micro-benchmark with a missing or oversized window or a bad transfer
 // or offset. The window is checked against the buffer the cell will
 // build; n=0 passes, since the run resolves it from the quality level.
 // A model cell skips the window and buffer checks, since it touches no
 // buffer, and is held to what the closed form evaluates (checkModel).
-// Only validation and single runs call it: a shared instance is built
-// from the bare cell, which need not name a transfer.
-func resolveRunnable(kv map[string]string) (Config, error) {
-	cfg, err := resolveConfig(kv)
+func resolveRunnable(layers ...map[string]string) (Config, error) {
+	cfg, err := resolveConfig(layers...)
 	if err != nil {
 		return cfg, err
 	}
@@ -383,8 +382,8 @@ func checkModel(cfg Config) error {
 // resolveProbe resolves a probe's assignment like resolveRunnable and
 // also rejects a metric a model cell does not compute: it reports
 // bandwidth, and a workload also its packet-pair rate.
-func resolveProbe(kv map[string]string, p Probe) (Config, error) {
-	cfg, err := resolveRunnable(kv)
+func resolveProbe(p Probe, layers ...map[string]string) (Config, error) {
+	cfg, err := resolveRunnable(layers...)
 	if err != nil || !cfg.Model {
 		return cfg, err
 	}
@@ -515,9 +514,16 @@ func mergeKeys(groups ...[]string) []string {
 	return all
 }
 
-// knownKeys lists every parameter a cell assignment may set, for
-// override validation.
-var knownKeys = mergeKeys(systemKeys, microKeys, workloadKeys, topoKeys, p2pKeys)
+var (
+	// knownKeys lists every parameter a cell assignment may set, for
+	// override validation.
+	knownKeys = mergeKeys(systemKeys, microKeys, workloadKeys, topoKeys, p2pKeys)
+	// The keys each benchmark kind accepts, merged once: resolving a
+	// cell checks each of its keys against its kind's list.
+	microKindKeys    = mergeKeys(systemKeys, microKeys)
+	workloadKindKeys = mergeKeys(systemKeys, workloadKeys, topoKeys)
+	p2pKindKeys      = mergeKeys(systemKeys, topoKeys, p2pKeys)
+)
 
 func isKnownKey(k string) bool {
 	for _, known := range knownKeys {
@@ -528,18 +534,27 @@ func isKnownKey(k string) bool {
 	return false
 }
 
-// keysFor lists the keys valid for one benchmark kind, sorted.
+// keysFor lists the keys valid for one benchmark kind, sorted, and
+// every known key for a kind it does not know. The list is shared:
+// callers must not modify it.
 func keysFor(benchKind string) []string {
 	switch benchKind {
 	case BenchWorkload:
-		return mergeKeys(systemKeys, workloadKeys, topoKeys)
+		return workloadKindKeys
 	case BenchP2P:
-		return mergeKeys(systemKeys, topoKeys, p2pKeys)
+		return p2pKindKeys
 	case BenchLatRd, BenchLatWrRd, BenchBwRd, BenchBwWr, BenchBwRdWr, BenchLoopback:
-		return mergeKeys(systemKeys, microKeys)
+		return microKindKeys
 	default:
 		return knownKeys
 	}
+}
+
+// KeysFor lists the parameter keys a cell of one benchmark kind
+// accepts, sorted; for a kind it does not know, every known key. A
+// cell setting a key its kind does not accept fails validation.
+func KeysFor(benchKind string) []string {
+	return slices.Clone(keysFor(benchKind))
 }
 
 // unknownKeyErr builds the unknown-parameter error: when the cell's
@@ -570,12 +585,40 @@ var optLevelKeys = map[string]bool{
 	"ber":     true, "cto": true, "retrain": true,
 }
 
-// resolveConfig turns a merged key/value assignment into an executable
-// configuration. Link-level keys (gen, lanes, mps, mrrs) modify a copy
-// of the paper's default Gen3 x8 link; when none is present the
-// instance keeps its built-in default.
-func resolveConfig(kv map[string]string) (Config, error) {
+// layers is a key/value assignment stacked from maps, a later map
+// winning a key: a cell's assignment, then a probe set, then a
+// contrast set.
+type layers []map[string]string
+
+// get returns the value of key k in the topmost layer that sets it.
+func (l layers) get(k string) (string, bool) {
+	for i := len(l) - 1; i >= 0; i-- {
+		if v, ok := l[i][k]; ok {
+			return v, true
+		}
+	}
+	return "", false
+}
+
+// resolveConfig turns a layered key/value assignment (see layers) into
+// an executable configuration. The benchmark kind resolves first, and
+// every other key must be one the kind accepts (KeysFor). Link-level
+// keys (gen, lanes, mps, mrrs) modify a copy of the paper's default
+// Gen3 x8 link; when none is present the instance keeps its built-in
+// default.
+func resolveConfig(kv ...map[string]string) (Config, error) {
+	l := layers(kv)
 	cfg := Config{System: "NFP6000-HSW", Bench: BenchLatRd}
+	named, hasBench := l.get("bench")
+	if hasBench {
+		switch kind := strings.ToLower(named); kind {
+		case BenchLatRd, BenchLatWrRd, BenchBwRd, BenchBwWr, BenchBwRdWr, BenchLoopback, BenchWorkload, BenchP2P:
+			cfg.Bench = kind
+		default:
+			return Config{}, fmt.Errorf("sweep: bench=%q: unknown benchmark %q", named, named)
+		}
+	}
+	accepted := keysFor(cfg.Bench)
 	var link *pcie.LinkConfig
 	ensureLink := func() *pcie.LinkConfig {
 		if link == nil {
@@ -594,24 +637,28 @@ func resolveConfig(kv map[string]string) (Config, error) {
 		return faults
 	}
 
-	keys := make([]string, 0, len(kv))
-	for k := range kv {
-		keys = append(keys, k)
+	// Every known key fits the fixed capacity, which keeps the list off
+	// the heap.
+	keys := make([]string, 0, 64)
+	for _, m := range kv {
+		for k := range m {
+			keys = append(keys, k)
+		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		v := kv[k]
+	slices.Sort(keys)
+	for _, k := range slices.Compact(keys) {
+		v, _ := l.get(k)
+		if _, ok := slices.BinarySearch(accepted, k); !ok {
+			kind := cfg.Bench
+			if !hasBench && !isKnownKey(k) {
+				kind = "" // no kind takes the key and the cell names none
+			}
+			return Config{}, fmt.Errorf("sweep: %s=%q: %w", k, v, unknownKeyErr(kind))
+		}
 		var err error
 		switch k {
 		case "system":
 			cfg.System = v
-		case "bench":
-			switch strings.ToLower(v) {
-			case BenchLatRd, BenchLatWrRd, BenchBwRd, BenchBwWr, BenchBwRdWr, BenchLoopback, BenchWorkload, BenchP2P:
-				cfg.Bench = strings.ToLower(v)
-			default:
-				err = fmt.Errorf("unknown benchmark %q", v)
-			}
 		case "window":
 			cfg.Params.WindowSize, err = parseSize(v)
 		case "transfer":
@@ -750,8 +797,6 @@ func resolveConfig(kv map[string]string) (Config, error) {
 			default:
 				err = fmt.Errorf("p2p mode %q (want %s or %s)", v, topo.P2PDirect, topo.P2PBounce)
 			}
-		default:
-			err = unknownKeyErr(strings.ToLower(kv["bench"]))
 		}
 		if err != nil {
 			return Config{}, fmt.Errorf("sweep: %s=%q: %w", k, v, err)
@@ -768,10 +813,9 @@ func resolveConfig(kv map[string]string) (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	// Topology defaults and cross-key rules. BenchP2P needs two
-	// endpoints and defaults to a shared switch and the direct path;
-	// topology keys on the single-flow micro-benchmarks would silently
-	// measure endpoint 0 only, so they are rejected there.
+	// Topology defaults. BenchP2P needs two endpoints and defaults to a
+	// shared switch and the direct path. (The single-flow kinds accept
+	// no topology key, which would silently measure endpoint 0 only.)
 	if cfg.Bench == BenchP2P {
 		if cfg.Shape.Endpoints == 0 {
 			cfg.Shape.Endpoints = 2
@@ -781,19 +825,12 @@ func resolveConfig(kv map[string]string) (Config, error) {
 		}
 		// Default to a shared switch, except under split placement
 		// (which requires direct attachment to both sockets).
-		if _, hasSwitch := kv["switch"]; !hasSwitch && cfg.Shape.Placement != "split" {
-			l := pcie.DefaultGen3x8()
-			cfg.Shape.Switch = &l
+		if _, hasSwitch := l.get("switch"); !hasSwitch && cfg.Shape.Placement != "split" {
+			sw := pcie.DefaultGen3x8()
+			cfg.Shape.Switch = &sw
 		}
 		if cfg.P2P == "" {
 			cfg.P2P = topo.P2PDirect
-		}
-	} else {
-		if cfg.P2P != "" {
-			return Config{}, fmt.Errorf("sweep: p2p=%q only applies to bench=p2p (valid p2p keys: %s)", cfg.P2P, strings.Join(keysFor(BenchP2P), " "))
-		}
-		if !cfg.Shape.Degenerate() && cfg.Bench != BenchWorkload {
-			return Config{}, fmt.Errorf("sweep: topology keys (buffers/endpoints/switch/socket) apply to bench=workload or bench=p2p, not %q", cfg.Bench)
 		}
 	}
 	if err := cfg.Shape.Validate(sys.Nodes); err != nil {
@@ -894,8 +931,11 @@ func (s *Spec) ProbeLabels() []string {
 	for i, p := range probes {
 		label := p.Label
 		if label == "" {
-			kv := s.mergedKV(nil, p.Set)
-			switch kind, ok := kv["bench"]; {
+			kind, ok := p.Set["bench"]
+			if !ok {
+				kind, ok = s.Base["bench"]
+			}
+			switch {
 			case ok:
 				label = kind + ":" + metricFor(p, kind)
 			case s.axis("bench") != nil:
@@ -916,26 +956,20 @@ func (s *Spec) ProbeLabels() []string {
 	return labels
 }
 
-// mergedKV layers base, an optional cell assignment and an optional
-// probe/contrast set (later wins).
-func (s *Spec) mergedKV(cell map[string]string, set map[string]string) map[string]string {
-	kv := make(map[string]string, len(s.Base)+len(cell)+len(set))
-	for k, v := range s.Base {
-		kv[k] = v
-	}
-	for k, v := range cell {
-		kv[k] = v
-	}
-	for k, v := range set {
-		kv[k] = v
-	}
-	return kv
-}
-
 // Validate checks the whole grid: axis shape, key names, every cell's
 // (and probe's, and contrast's) resolved configuration, metrics and
 // reduction. A valid spec cannot fail cell resolution at run time.
 func (s *Spec) Validate() error {
+	if err := s.checkShape(); err != nil {
+		return err
+	}
+	return s.resolveCells(func(Cell, resolvedProbes) error { return nil })
+}
+
+// checkShape checks what Validate can without expanding the grid: the
+// wire version, name, axes, keys, seed mode, contrast and metrics, and
+// the MaxMeasurements bound, so that Count cannot overflow.
+func (s *Spec) checkShape() error {
 	if s.Version != 0 && s.Version != SpecVersion {
 		return fmt.Errorf("sweep: spec %q: unsupported wire format version %d (this build speaks version %d; legacy version-less specs are read as version 1)",
 			s.Name, s.Version, SpecVersion)
@@ -1014,21 +1048,49 @@ func (s *Spec) Validate() error {
 		}
 		n *= len(a.Values)
 	}
+	return nil
+}
+
+// resolvedProbes are a cell's probes as they run: one configuration
+// per probe and, under Contrast only, one perturbed configuration per
+// probe, each with the cell's seed.
+type resolvedProbes struct {
+	cfgs, perts []Config
+}
+
+// resolveCells resolves a grid that passed checkShape, cell by cell in
+// enumeration order: each probe's configuration once, held to what its
+// run needs, and its seed. It hands each cell to yield with its probes,
+// in buffers the next cell reuses, so yield clones what it keeps. The
+// first error, of resolution or of yield, stops the pass.
+func (s *Spec) resolveCells(yield func(Cell, resolvedProbes) error) error {
+	probes := s.probes()
+	rp := resolvedProbes{cfgs: make([]Config, len(probes))}
+	if s.Contrast != nil {
+		rp.perts = make([]Config, len(probes))
+	}
 	for _, c := range s.Cells() {
-		for pi, p := range s.probes() {
-			kv := s.mergedKV(c.KV, p.Set)
-			cfg, err := resolveProbe(kv, p)
+		for pi, p := range probes {
+			cfg, err := resolveProbe(p, c.KV, p.Set)
 			if err != nil {
 				return fmt.Errorf("sweep: spec %q cell %d probe %d: %w", s.Name, c.Index, pi, err)
 			}
 			if s.SharedInstance && cfg.usesFabric() {
 				return fmt.Errorf("sweep: spec %q cell %d: shared_instance cells cannot use multi-endpoint topologies", s.Name, c.Index)
 			}
+			cfg.Opt.Seed = s.resolveSeed(cfg.Opt.Seed, c.Index)
+			rp.cfgs[pi] = cfg
 			if s.Contrast != nil {
-				if _, err := resolveProbe(s.mergedKV(kv, s.Contrast.Set), p); err != nil {
+				pert, err := resolveProbe(p, c.KV, p.Set, s.Contrast.Set)
+				if err != nil {
 					return fmt.Errorf("sweep: spec %q cell %d probe %d contrast: %w", s.Name, c.Index, pi, err)
 				}
+				pert.Opt.Seed = s.resolveSeed(pert.Opt.Seed, c.Index)
+				rp.perts[pi] = pert
 			}
+		}
+		if err := yield(c, rp); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -112,6 +112,30 @@ func TestUnknownKeyErrorsNameValidKeys(t *testing.T) {
 	if msg = err.Error(); !strings.Contains(msg, "topology:") || !strings.Contains(msg, "workload:") {
 		t.Errorf("ungrouped unknown-key error missing groups:\n%s", msg)
 	}
+
+	// A key another kind takes fails the same way, in a cell or in a
+	// contrast set, and a cell naming no kind is a lat_rd cell.
+	bw := map[string]string{"bench": BenchBwRd, "transfer": "64", "window": "8K", "n": "100"}
+	for name, c := range map[string]struct {
+		s    *Spec
+		want string
+	}{
+		"cell": {&Spec{Name: "t", Axes: []Axis{StrAxis("arrival", "poisson:1M")}, Base: bw},
+			`arrival="poisson:1M": unknown parameter for bench "bw_rd" (valid: `},
+		"contrast": {&Spec{Name: "t", Axes: []Axis{IntAxis("n", 100)}, Base: bw, Contrast: &Contrast{Set: map[string]string{"queues": "4"}}},
+			`probe 0 contrast: sweep: queues="4": unknown parameter for bench "bw_rd" (valid: `},
+		"no kind": {&Spec{Name: "t", Axes: []Axis{IntAxis("endpoints", 2)}},
+			`endpoints="2": unknown parameter for bench "lat_rd" (valid: `},
+	} {
+		err := c.s.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want %q", name, err, c.want)
+			continue
+		}
+		if kind := c.s.Base["bench"]; kind != "" && !strings.Contains(err.Error(), strings.Join(KeysFor(kind), " ")) {
+			t.Errorf("%s: %v does not list the %s keys", name, err, kind)
+		}
+	}
 }
 
 // TestTopologyKeyRules: topology keys are rejected on micro-benchmark

@@ -122,16 +122,25 @@ func (m Moderation) Apply(design model.NIC) model.NIC {
 	return out
 }
 
+// The built-in designs, built once. Every config naming one shares its
+// interaction lists: nothing writes them after construction
+// (Moderation.Apply rewrites a copy).
+var (
+	simpleNIC = model.SimpleNIC()
+	kernelNIC = model.ModernNICKernel()
+	dpdkNIC   = model.ModernNICDPDK()
+)
+
 // DesignByName returns the named built-in NIC/driver design:
 // "simple", "kernel" or "dpdk".
 func DesignByName(name string) (model.NIC, error) {
 	switch name {
 	case "", "kernel":
-		return model.ModernNICKernel(), nil
+		return kernelNIC, nil
 	case "simple":
-		return model.SimpleNIC(), nil
+		return simpleNIC, nil
 	case "dpdk":
-		return model.ModernNICDPDK(), nil
+		return dpdkNIC, nil
 	}
 	return model.NIC{}, fmt.Errorf("workload: unknown NIC design %q (want simple, kernel or dpdk)", name)
 }
@@ -196,7 +205,7 @@ func (c Config) WithDefaults() Config {
 		c.Window = DefaultWindow
 	}
 	if c.Design.Name == "" && c.Design.TX == nil && c.Design.RX == nil {
-		c.Design = model.ModernNICKernel()
+		c.Design = kernelNIC
 	}
 	if c.Sizes == nil {
 		c.Sizes = FixedSize(defaultFrame)

@@ -396,23 +396,36 @@ func TestSharedKernelMeasuresElapsedNotAbsolute(t *testing.T) {
 	}
 }
 
+// TestDesignByName: each name returns its built-in design, built once
+// and shared, so rewriting it through a Moderation must leave it as
+// built; naming a design, or defaulting to one, allocates nothing.
 func TestDesignByName(t *testing.T) {
-	for name, want := range map[string]string{
-		"":       model.ModernNICKernel().Name,
-		"kernel": model.ModernNICKernel().Name,
-		"simple": model.SimpleNIC().Name,
-		"dpdk":   model.ModernNICDPDK().Name,
+	for name, build := range map[string]func() model.NIC{
+		"":       model.ModernNICKernel,
+		"kernel": model.ModernNICKernel,
+		"simple": model.SimpleNIC,
+		"dpdk":   model.ModernNICDPDK,
 	} {
 		d, err := DesignByName(name)
 		if err != nil {
 			t.Errorf("%q: %v", name, err)
 			continue
 		}
-		if d.Name != want {
-			t.Errorf("%q -> %q, want %q", name, d.Name, want)
+		Moderation{DoorbellBatch: 7, DescBatch: 3, WriteBackBatch: 5, IntrEvery: -1}.Apply(d)
+		if !reflect.DeepEqual(d, build()) {
+			t.Errorf("%q after Apply: %+v, want %+v", name, d, build())
 		}
 	}
 	if _, err := DesignByName("exotic"); err == nil {
 		t.Error("unknown design accepted")
+	}
+	cfg := Config{Sizes: FixedSize(1500)}
+	for what, f := range map[string]func(){
+		"DesignByName": func() { _, _ = DesignByName("kernel") },
+		"Validate":     func() { _ = cfg.Validate() },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s allocates %.0f times per call", what, n)
+		}
 	}
 }
