@@ -69,7 +69,7 @@ func BenchmarkFig2_LoopbackLatency(b *testing.B) {
 	var frac float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		samples, err := nicsim.Loopback(inst.RC, nicsim.DefaultLoopback(), inst.Buffer.DMAAddr(0), 128, 16)
+		samples, err := nicsim.Loopback(inst.RC, inst.Buffer.DMAAddr(0), 128, 16)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,11 +1,13 @@
 // Command pcie-bench runs individual pcie-bench micro-benchmarks
 // against a simulated system from the paper's Table 1, mirroring the
-// control programs of paper §5.4, and exposes the declarative sweep
-// engine for whole parameter grids. A single run is a one-cell sweep:
-// each flag sets a sweep cell key (see cellKeys). Grids run their cells
-// on GOMAXPROCS workers, and a multi-endpoint workload fabric runs its
-// islands on up to as many goroutines; output is byte-identical at
-// every core count (GOMAXPROCS=N limits the CPUs used).
+// control programs of paper §5.4, and the full -suite matrix those
+// programs execute. A single run is a one-cell sweep: each flag sets a
+// sweep cell key (see cellKeys), and positional arguments are refused.
+// Registered and custom grids run through pcie-repro -run/-spec. The
+// suite runs its cells on GOMAXPROCS workers, and a multi-endpoint
+// workload fabric runs its islands on up to as many goroutines; output
+// is byte-identical at every core count (GOMAXPROCS=N limits the CPUs
+// used).
 //
 // -trace captures a single run's wire-exact TLP stream, every request,
 // write and completion with its simulated timestamp: it saves the
@@ -23,9 +25,6 @@
 //	pcie-bench -bench workload -queues 4 -sizes imix -arrival poisson:4M:burst=64
 //	pcie-bench -bench lat_wrrd -transfer 300 -offset 16 -n 2 -trace run.tlpj
 //	pcie-bench -suite
-//	pcie-bench -sweeps
-//	pcie-bench -run fig9 transfer=64 mps=512
-//	pcie-bench -spec my-grid.json -format json
 package main
 
 import (
@@ -44,7 +43,6 @@ import (
 
 	"pciebench/internal/bench"
 	"pciebench/internal/fault"
-	_ "pciebench/internal/report" // registers the paper-figure sweeps
 	"pciebench/internal/stats"
 	"pciebench/internal/sweep"
 	"pciebench/internal/sysconf"
@@ -99,12 +97,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cdf        = fs.Bool("cdf", false, "print the latency CDF (latency benches)")
 		jsonOut    = fs.Bool("json", false, "print the benchmark result as JSON")
 		suite      = fs.Bool("suite", false, "run the full ~2000-test matrix (paper §5.4) and print a TSV report")
-		sweeps     = fs.Bool("sweeps", false, "list registered sweeps and exit")
-		runName    = fs.String("run", "", "run one registered sweep; remaining args override axes (e.g. gen=4,5 lanes=16)")
-		specPath   = fs.String("spec", "", "run a custom sweep from a JSON spec file; remaining args override axes")
-		format     = fs.String("format", "table", "sweep output format: "+strings.Join(sweep.Formats(), "|"))
-		full       = fs.Bool("full", false, "paper-scale sample counts for sweeps (slower)")
-		cacheDir   = fs.String("cache-dir", "", "dedup sweep cells against an on-disk result cache in this directory")
 		nicSel     = fs.String("nic", "kernel", "workload: NIC/driver design (simple|kernel|dpdk)")
 		tracePath  = fs.String("trace", "", "single run: save endpoint 0's TLP journal to this file and print the decoded log")
 	)
@@ -145,9 +137,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %v: a single run takes flags only (grids with key=value overrides run through pcie-repro -run/-spec)", fs.Args())
+	}
 
-	// Profiling wraps every mode — single benches, the suite and the
-	// sweep engine — so perf work needs no code edits, just flags.
+	// Profiling wraps every mode — single benches and the suite — so
+	// perf work needs no code edits, just flags.
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -181,23 +176,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	q := sweep.Quick
-	if *full {
-		q = sweep.Full
-	}
-	cli := &sweep.CLI{
-		List: *sweeps, RunName: *runName, SpecPath: *specPath,
-		Overrides: fs.Args(), Format: *format,
-		Quality: q, CacheDir: *cacheDir,
-	}
-	if *tracePath != "" && (cli.Active() || *suite) {
-		return errors.New("-trace applies to a single run")
-	}
-	if cli.Active() {
-		return cli.Execute(context.Background(), stdout, stderr)
-	}
-
 	if *suite {
+		if *tracePath != "" {
+			return errors.New("-trace applies to a single run")
+		}
 		return runSuite(context.Background(), suiteSpec(*system, *iommuOn, *iommuScope, *sp, *seed), stdout, stderr)
 	}
 

@@ -131,15 +131,14 @@ func TestTraceKeepsLastTLPs(t *testing.T) {
 }
 
 // TestTraceErrors: -trace is refused where it cannot record the run (a
-// fabric or p2p run, whose other endpoints' links it would miss, or a
-// grid) and fails on an unwritable journal path.
+// fabric or p2p run, whose other endpoints' links it would miss, or the
+// suite) and fails on an unwritable journal path.
 func TestTraceErrors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.tlpj")
 	for _, args := range [][]string{
 		{"-bench", "p2p", "-transfer", "256", "-n", "10"},
 		{"-bench", "workload", "-endpoints", "2", "-n", "10"},
 		{"-suite"},
-		{"-run", "fig9"},
 	} {
 		if _, err := runCLI(t, append(args, "-trace", path)...); err == nil {
 			t.Errorf("%v -trace succeeded, want error", args)

@@ -5,13 +5,17 @@
 //
 // Every figure is a declarative sweep (internal/sweep), Figure 1's
 // analytical model included as model=true cells, so the same grids —
-// and entirely new ones — also run standalone:
+// and entirely new ones — also run standalone. pcie-repro is the
+// command-line entry point for grids; trailing key=v1,v2 arguments
+// override a grid's axes and base, fault injection (ber, cto, retrain)
+// included:
 //
 //	pcie-repro                      # quick run into ./repro-out
 //	pcie-repro -full -out dir       # paper-scale sample counts
 //	pcie-repro -only fig9           # a single experiment
 //	pcie-repro -list                # registered sweeps
 //	pcie-repro -run fig4 gen=4,5    # a registered sweep with axis overrides
+//	pcie-repro -run ber-goodput ber=1e-6 cto=1ms  # a fault what-if
 //	pcie-repro -spec my.json -format csv  # a fully custom grid from JSON
 //	pcie-repro -spec examples/sweeps/nic-model.json -format tsv gen=4 lanes=16  # the model's curves
 //
@@ -65,14 +69,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		specPath = fs.String("spec", "", "run a custom sweep from a JSON spec file; remaining args override axes")
 		format   = fs.String("format", "table", "sweep output format: "+strings.Join(sweep.Formats(), "|"))
 		cacheDir = fs.String("cache-dir", "", "dedup sweep cells against an on-disk result cache in this directory")
-		ber      = fs.String("ber", "", "with -run/-spec: override the link bit error rate axis (e.g. 1e-6)")
-		cto      = fs.String("cto", "", "with -run/-spec: override the completion-timeout axis (e.g. 10us)")
-		retrain  = fs.String("retrain", "", "with -run/-spec: override the link-retrain MTBF axis (e.g. 50us)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	faultOverrides := faultArgs(*ber, *cto, *retrain)
 
 	q := report.Quick
 	if *full {
@@ -80,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	cli := &sweep.CLI{
 		List: *list, RunName: *runName, SpecPath: *specPath,
-		Overrides: append(fs.Args(), faultOverrides...), Format: *format,
+		Overrides: fs.Args(), Format: *format,
 		Quality: q, CacheDir: *cacheDir,
 	}
 	if cli.Active() {
@@ -90,18 +90,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unexpected arguments %v (axis overrides need -run or -spec)", cli.Overrides)
 	}
 	return reproduce(*out, *only, q, stdout)
-}
-
-// faultArgs turns the -ber/-cto/-retrain convenience flags into sweep
-// axis overrides; spec validation parses them before any cell runs.
-func faultArgs(ber, cto, retrain string) []string {
-	var overrides []string
-	for _, f := range []struct{ key, val string }{{"ber", ber}, {"cto", cto}, {"retrain", retrain}} {
-		if f.val != "" {
-			overrides = append(overrides, f.key+"="+f.val)
-		}
-	}
-	return overrides
 }
 
 // reproduce regenerates the paper's figures and tables into dir: all

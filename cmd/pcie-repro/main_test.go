@@ -149,23 +149,25 @@ func TestOnlyRejectsUnknownID(t *testing.T) {
 	}
 }
 
-// TestFaultFlagOverrides: -ber/-cto/-retrain translate to validated
-// axis overrides for -run/-spec, and bad values fail fast.
-func TestFaultFlagOverrides(t *testing.T) {
+// TestFaultOverrides: trailing ber=/cto=/retrain= overrides reach a
+// -run grid as validated axis overrides, bad values fail fast, and the
+// fault keys have no flag spelling.
+func TestFaultOverrides(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	err := run([]string{"-run", "ber-goodput", "-ber", "1e-6", "-cto", "1ms",
-		"-retrain", "1s", "-format", "tsv", "n=100"}, &stdout, &stderr)
+	err := run([]string{"-run", "ber-goodput", "-format", "tsv",
+		"ber=1e-6", "cto=1ms", "retrain=1s", "n=100"}, &stdout, &stderr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(stdout.String(), "1e-6") {
-		t.Errorf("-ber override missing from grid:\n%s", stdout.String())
+		t.Errorf("ber override missing from grid:\n%s", stdout.String())
 	}
 	for _, bad := range [][]string{
-		{"-run", "ber-goodput", "-ber", "2"},
-		{"-run", "ber-goodput", "-cto", "soon"},
-		{"-run", "ber-goodput", "-retrain", "-1us"},
-		{"-ber", "1e-6"}, // overrides need -run or -spec
+		{"-run", "ber-goodput", "ber=2"},
+		{"-run", "ber-goodput", "cto=soon"},
+		{"-run", "ber-goodput", "retrain=-1us"},
+		{"ber=1e-6"},                            // overrides need -run or -spec
+		{"-run", "ber-goodput", "-ber", "1e-6"}, // no -ber flag
 	} {
 		if err := run(bad, &stdout, &stderr); err == nil {
 			t.Errorf("%v accepted", bad)

@@ -81,10 +81,11 @@ type Params struct {
 	// Direct selects the device's low-latency command interface where
 	// available (NFP, transfers <= 128B).
 	Direct bool
-	// Gap is the device-thread overhead between latency-test
-	// transactions (address computation, journaling).
-	Gap sim.Time
 }
+
+// latencyGap is the device-thread overhead between latency-test
+// transactions (address computation, journaling).
+const latencyGap = 50 * sim.Nanosecond
 
 // UnitSize returns the footprint of one access unit: offset plus
 // transfer size, rounded up to a whole number of cache lines (§4).
@@ -275,7 +276,6 @@ type latRun struct {
 	gen    *addrGen
 	op     func(addr uint64) (sim.Time, sim.Time, error)
 	res    *LatencyResult
-	gap    sim.Time
 	warm   int
 	total  int
 	err    error
@@ -295,7 +295,7 @@ func (r *latRun) Handle(k *sim.Kernel, i, _ int64) {
 		lat := r.engine.Quantize(done - start)
 		r.res.Samples = append(r.res.Samples, lat.Nanoseconds())
 	}
-	k.AtEvent(done+r.gap, r, i+1, 0)
+	k.AtEvent(done+latencyGap, r, i+1, 0)
 }
 
 // runLatency drives dependent transactions: each starts after the
@@ -304,10 +304,6 @@ func (r *latRun) Handle(k *sim.Kernel, i, _ int64) {
 func runLatency(t *Target, p Params, name string, writes bool, op func(addr uint64) (sim.Time, sim.Time, error)) (*LatencyResult, error) {
 	if err := t.prepare(p); err != nil {
 		return nil, err
-	}
-	gap := p.Gap
-	if gap == 0 {
-		gap = 50 * sim.Nanosecond
 	}
 	k := t.Engine.Kernel()
 	res := &LatencyResult{Name: name, Params: p}
@@ -321,7 +317,6 @@ func runLatency(t *Target, p Params, name string, writes bool, op func(addr uint
 		gen:    newAddrGen(t, p),
 		op:     op,
 		res:    res,
-		gap:    gap,
 		warm:   warm,
 		total:  warm + p.Transactions,
 	}

@@ -138,11 +138,9 @@ type Engine struct {
 	// Completion-timeout model (zero cto = disabled, the exact
 	// pre-fault path). A read whose completion would land more than
 	// cto after issue times out and re-issues with exponential
-	// backoff, aborting after ctoRetries attempts.
-	cto        sim.Time
-	ctoRetries int
-	ctoBackoff sim.Time
-	ctr        *fault.Counters
+	// backoff, aborting after fault.CTORetries re-issues.
+	cto sim.Time
+	ctr *fault.Counters
 
 	// Statistics.
 	Ops       uint64
@@ -192,13 +190,10 @@ func New(k *sim.Kernel, path Path, cfg Config) (*Engine, error) {
 	return &Engine{k: k, rc: path, cfg: cfg, issue: sim.NewServer(k)}, nil
 }
 
-// SetFaults installs the completion-timeout model (cfg.CTO and
-// friends, already defaulted via WithDefaults) and the endpoint's
-// shared AER-style counter block.
+// SetFaults installs the completion-timeout model (cfg.CTO) and the
+// endpoint's shared AER-style counter block.
 func (e *Engine) SetFaults(cfg fault.Config, ctr *fault.Counters) {
 	e.cto = cfg.CTO
-	e.ctoRetries = cfg.CTORetries
-	e.ctoBackoff = cfg.CTOBackoff
 	e.ctr = ctr
 }
 
@@ -315,10 +310,10 @@ func (e *Engine) start(op Op) Completion {
 		// than cto after issue is abandoned (its late completions are
 		// dropped — the link time is already spent) and re-issued
 		// after a capped exponential backoff.
-		backoff := e.ctoBackoff
+		backoff := e.cto
 		for retries := 0; res.Complete-issued > e.cto; retries++ {
 			e.ctr.Timeouts++
-			if retries >= e.ctoRetries {
+			if retries >= fault.CTORetries {
 				e.ctr.Fatal++
 				c.Err = fmt.Errorf("device: %s: DMA read of %d bytes aborted after %d completion timeouts", e.cfg.Name, op.Size, retries+1)
 				c.Done = issued + e.cto
@@ -327,7 +322,7 @@ func (e *Engine) start(op Op) Completion {
 			}
 			e.ctr.NonFatal++
 			issued += e.cto + backoff
-			if backoff < e.ctoBackoff<<fault.DefaultCTOBackoffCapShift {
+			if backoff < e.cto<<fault.CTOBackoffCapShift {
 				backoff *= 2
 			}
 			res, err = e.rc.DMAReadOrdered(issued, op.DMA, op.Size, op.OrderAfter)

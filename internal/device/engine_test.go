@@ -227,17 +227,17 @@ func TestStagingAddsSizeDependentLatency(t *testing.T) {
 
 // TestCompletionTimeoutRetry covers the fault-injected completion
 // timeout paths: a generous CTO never fires; a CTO below the read's
-// round trip retries with exponential backoff and aborts after the
-// configured retry budget with a fatal AER-style count.
+// round trip retries with exponential backoff and aborts after
+// fault.CTORetries re-issues with a fatal AER-style count.
 func TestCompletionTimeoutRetry(t *testing.T) {
-	run := func(cto sim.Time, retries int) (Completion, *fault.Counters) {
+	run := func(cto sim.Time) (Completion, *fault.Counters) {
 		k := sim.New(1)
 		e, err := New(k, testRC(t, k), testConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctr := &fault.Counters{}
-		e.SetFaults(fault.Config{CTO: cto, CTORetries: retries, CTOBackoff: cto}.WithDefaults(), ctr)
+		e.SetFaults(fault.Config{CTO: cto}, ctr)
 		var got Completion
 		e.Submit(Op{DMA: 0, Size: 64, OnDone: func(c Completion) { got = c }})
 		k.Run()
@@ -245,7 +245,7 @@ func TestCompletionTimeoutRetry(t *testing.T) {
 	}
 
 	// A 1ms CTO never fires on a sub-microsecond read.
-	ok, ctr := run(sim.Millisecond, 2)
+	ok, ctr := run(sim.Millisecond)
 	if ok.Err != nil {
 		t.Fatal(ok.Err)
 	}
@@ -253,13 +253,13 @@ func TestCompletionTimeoutRetry(t *testing.T) {
 		t.Errorf("generous CTO recorded events: %+v", *ctr)
 	}
 
-	// A 10ns CTO times out every attempt: retries+1 timeouts, then a
+	// A 10ns CTO times out every attempt: CTORetries+1 timeouts, then a
 	// fatal abort with a surfaced error.
-	bad, ctr := run(10*sim.Nanosecond, 2)
+	bad, ctr := run(10 * sim.Nanosecond)
 	if bad.Err == nil {
 		t.Fatal("no error after exhausting completion-timeout retries")
 	}
-	if ctr.Timeouts != 3 || ctr.Fatal != 1 || ctr.NonFatal != 2 {
+	if ctr.Timeouts != fault.CTORetries+1 || ctr.Fatal != 1 || ctr.NonFatal != fault.CTORetries {
 		t.Errorf("counters: %+v", *ctr)
 	}
 }

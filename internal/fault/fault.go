@@ -18,8 +18,9 @@
 //     rollover path).
 //   - Completion timeouts (CTO). device.Engine bounds how long a
 //     non-posted read may stay outstanding; a late completion is
-//     abandoned and the read re-issued with capped exponential
-//     backoff, aborting with an error after CTORetries attempts.
+//     abandoned and the read re-issued with exponential backoff
+//     starting at CTO and capped at CTO << CTOBackoffCapShift,
+//     aborting with an error after CTORetries re-issues.
 //     Posted writes are exempt, as on real hardware.
 //   - Retrain events. Links drop into Recovery at exponentially
 //     distributed intervals (mean RetrainMTBF), dwell for
@@ -66,31 +67,27 @@ const (
 	ClassLink Class = iota
 	// ClassRetrain drives link down/retrain inter-arrival times.
 	ClassRetrain
-	// ClassTimeout is reserved for randomized completion-timeout
-	// models; the current CTO model is deterministic.
-	ClassTimeout
 )
 
-// ReplayLimit is how many consecutive corrupted transmissions of one
-// TLP force an inline retrain — the REPLAY_NUM rollover rule.
-const ReplayLimit = 4
-
-// Defaults applied by WithDefaults when the corresponding knob is
-// enabled but unconfigured.
+// The fault model's fixed parameters.
 const (
-	// DefaultRetrainDwell is the time a link spends in Recovery.
-	DefaultRetrainDwell = 10 * sim.Microsecond
-	// DefaultDegradeTime is how long a retrained link stays at
-	// degraded serialization before recovering full width/speed.
-	DefaultDegradeTime = 100 * sim.Microsecond
-	// DefaultDegradeFactor multiplies serialization time while
-	// degraded (2 = half width).
-	DefaultDegradeFactor = 2
-	// DefaultCTORetries bounds re-issues after a completion timeout.
-	DefaultCTORetries = 3
-	// DefaultCTOBackoffCapShift caps exponential backoff at
-	// initial << shift.
-	DefaultCTOBackoffCapShift = 3
+	// ReplayLimit is how many consecutive corrupted transmissions of
+	// one TLP force an inline retrain — the REPLAY_NUM rollover rule.
+	ReplayLimit = 4
+	// RetrainDwell is the time a link spends in Recovery.
+	RetrainDwell = 10 * sim.Microsecond
+	// DegradeTime is how long a retrained link stays at degraded
+	// serialization before recovering full width/speed.
+	DegradeTime = 100 * sim.Microsecond
+	// DegradeFactor multiplies serialization time while degraded
+	// (2 = half width).
+	DegradeFactor = 2
+	// CTORetries bounds re-issues after a completion timeout before
+	// the read aborts.
+	CTORetries = 3
+	// CTOBackoffCapShift caps the exponential backoff, which starts at
+	// CTO, at CTO << CTOBackoffCapShift.
+	CTOBackoffCapShift = 3
 )
 
 // Config selects which faults to inject. The zero value (and a nil
@@ -103,25 +100,9 @@ type Config struct {
 	// CTO is the completion timeout for non-posted reads issued by
 	// device engines; 0 disables.
 	CTO sim.Time `json:"cto,omitempty"`
-	// CTORetries bounds re-issues after a timeout before the op
-	// aborts; 0 selects DefaultCTORetries.
-	CTORetries int `json:"cto_retries,omitempty"`
-	// CTOBackoff is the first retry's extra delay, doubling per
-	// retry up to a cap; 0 selects CTO itself.
-	CTOBackoff sim.Time `json:"cto_backoff,omitempty"`
 	// RetrainMTBF is the mean time between link retrain events;
 	// 0 disables retraining.
 	RetrainMTBF sim.Time `json:"retrain_mtbf,omitempty"`
-	// RetrainDwell is the Recovery dwell per retrain; 0 selects
-	// DefaultRetrainDwell.
-	RetrainDwell sim.Time `json:"retrain_dwell,omitempty"`
-	// DegradeFactor multiplies link serialization time after a
-	// retrain; 0 selects DefaultDegradeFactor, 1 disables
-	// degradation.
-	DegradeFactor int `json:"degrade_factor,omitempty"`
-	// DegradeTime is how long the degraded window lasts; 0 selects
-	// DefaultDegradeTime.
-	DegradeTime sim.Time `json:"degrade_time,omitempty"`
 }
 
 // Enabled reports whether any fault class is active. Safe on nil.
@@ -138,38 +119,13 @@ func (c *Config) Validate() error {
 	if c.BER < 0 || c.BER >= 1 || math.IsNaN(c.BER) {
 		return fmt.Errorf("fault: bit error rate %g outside [0, 1)", c.BER)
 	}
-	if c.CTO < 0 || c.CTOBackoff < 0 || c.CTORetries < 0 {
+	if c.CTO < 0 {
 		return fmt.Errorf("fault: negative completion-timeout parameter")
 	}
-	if c.RetrainMTBF < 0 || c.RetrainDwell < 0 || c.DegradeTime < 0 || c.DegradeFactor < 0 {
+	if c.RetrainMTBF < 0 {
 		return fmt.Errorf("fault: negative retrain parameter")
 	}
 	return nil
-}
-
-// WithDefaults returns a copy with unset knobs resolved for every
-// enabled fault class.
-func (c Config) WithDefaults() Config {
-	if c.CTO > 0 {
-		if c.CTORetries == 0 {
-			c.CTORetries = DefaultCTORetries
-		}
-		if c.CTOBackoff == 0 {
-			c.CTOBackoff = c.CTO
-		}
-	}
-	if c.RetrainMTBF > 0 || c.BER > 0 {
-		if c.RetrainDwell == 0 {
-			c.RetrainDwell = DefaultRetrainDwell
-		}
-		if c.DegradeFactor == 0 {
-			c.DegradeFactor = DefaultDegradeFactor
-		}
-		if c.DegradeTime == 0 {
-			c.DegradeTime = DefaultDegradeTime
-		}
-	}
-	return c
 }
 
 // Counters is one endpoint's AER-style accounting block. The port and

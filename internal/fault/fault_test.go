@@ -28,27 +28,10 @@ func TestConfigValidate(t *testing.T) {
 		{BER: 1.5},
 		{CTO: -1},
 		{RetrainMTBF: -1},
-		{CTO: sim.Microsecond, CTORetries: -1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("%+v accepted", *bad)
 		}
-	}
-}
-
-func TestWithDefaults(t *testing.T) {
-	got := (&Config{CTO: sim.Microsecond, RetrainMTBF: sim.Millisecond}).WithDefaults()
-	if got.CTORetries != DefaultCTORetries || got.CTOBackoff != got.CTO {
-		t.Errorf("CTO defaults not applied: %+v", got)
-	}
-	if got.RetrainDwell != DefaultRetrainDwell || got.DegradeFactor != DefaultDegradeFactor ||
-		got.DegradeTime != DefaultDegradeTime {
-		t.Errorf("retrain defaults not applied: %+v", got)
-	}
-	// Explicit values survive.
-	kept := (&Config{CTO: sim.Microsecond, CTORetries: 9, CTOBackoff: 5}).WithDefaults()
-	if kept.CTORetries != 9 || kept.CTOBackoff != 5 {
-		t.Errorf("explicit CTO knobs overwritten: %+v", kept)
 	}
 }
 
@@ -72,7 +55,6 @@ func TestStreamDeterminismAndIndependence(t *testing.T) {
 		NewStream(43, 0, ClassLink),
 		NewStream(42, 1, ClassLink),
 		NewStream(42, 0, ClassRetrain),
-		NewStream(42, 0, ClassTimeout),
 	} {
 		if base == draw(alt) {
 			t.Error("distinct streams correlated")

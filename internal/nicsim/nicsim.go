@@ -17,43 +17,30 @@ import (
 	"pciebench/internal/sim"
 )
 
-// LoopbackConfig shapes the ExaNIC-style loopback experiment.
-type LoopbackConfig struct {
-	// PIOChunk is the write-combining buffer size: the CPU's frame
-	// write reaches the device as PIOChunk-byte MWr TLPs.
-	PIOChunk int
-	// PIOInterval is the rate at which the core's write-combining
+// The ExaNIC-style loopback calibration behind Figure 2.
+const (
+	// pioChunk is the write-combining buffer size: the CPU's frame
+	// write reaches the device as pioChunk-byte MWr TLPs.
+	pioChunk = 64
+	// pioInterval is the rate at which the core's write-combining
 	// buffers drain to the uncore; one 64B WC flush leaves roughly
 	// every ~55-65 ns, which dominates large-frame TX and is itself
 	// part of the PCIe contribution.
-	PIOInterval sim.Time
-	// PIOFixed is the core-to-uncore posting latency of the first
+	pioInterval = 55 * sim.Nanosecond
+	// pioFixed is the core-to-uncore posting latency of the first
 	// write-combining flush (PCIe-side).
-	PIOFixed sim.Time
-	// MACFixed is the fixed non-PCIe NIC path: MAC, PHY and loopback
+	pioFixed = 220 * sim.Nanosecond
+	// macFixed is the fixed non-PCIe NIC path: MAC, PHY and loopback
 	// plumbing in the device.
-	MACFixed sim.Time
-	// MACPerByte is the per-byte non-PCIe cost (cut-through wire
-	// serialization and partial buffering at 10G).
-	MACPerByte sim.Time
-	// DescBytes is the RX descriptor written back with each frame.
-	DescBytes int
-	// PollGranularity is how often the polling CPU re-checks the ring.
-	PollGranularity sim.Time
-}
-
-// DefaultLoopback returns the calibration used for Figure 2.
-func DefaultLoopback() LoopbackConfig {
-	return LoopbackConfig{
-		PIOChunk:        64,
-		PIOInterval:     55 * sim.Nanosecond,
-		PIOFixed:        220 * sim.Nanosecond,
-		MACFixed:        80 * sim.Nanosecond,
-		MACPerByte:      sim.Time(330), // 0.33 ns/B: cut-through 10G loopback
-		DescBytes:       16,
-		PollGranularity: 10 * sim.Nanosecond,
-	}
-}
+	macFixed = 80 * sim.Nanosecond
+	// macPerByte is the per-byte non-PCIe cost (cut-through wire
+	// serialization and partial buffering at 10G): 0.33 ns/B.
+	macPerByte = 330 * sim.Picosecond
+	// descBytes is the RX descriptor written back with each frame.
+	descBytes = 16
+	// pollGranularity is how often the polling CPU re-checks the ring.
+	pollGranularity = 10 * sim.Nanosecond
+)
 
 // LoopbackSample decomposes one frame's round trip.
 type LoopbackSample struct {
@@ -73,12 +60,9 @@ func (s LoopbackSample) PCIeFraction() float64 {
 // Loopback measures the round-trip latency of count frames of size sz
 // through a loopback NIC attached to complex, with the RX ring in the
 // buffer starting at ringDMA. It returns per-frame samples.
-func Loopback(complex *rc.RootComplex, cfg LoopbackConfig, ringDMA uint64, sz, count int) ([]LoopbackSample, error) {
+func Loopback(complex *rc.RootComplex, ringDMA uint64, sz, count int) ([]LoopbackSample, error) {
 	if sz <= 0 || count <= 0 {
 		return nil, fmt.Errorf("nicsim: bad loopback params sz=%d count=%d", sz, count)
-	}
-	if cfg.PIOChunk <= 0 {
-		cfg.PIOChunk = 64
 	}
 	samples := make([]LoopbackSample, 0, count)
 	at := sim.Time(0)
@@ -86,13 +70,13 @@ func Loopback(complex *rc.RootComplex, cfg LoopbackConfig, ringDMA uint64, sz, c
 		start := at
 
 		// TX: the CPU writes the frame through write-combining PIO.
-		// Each chunk leaves the core PIOInterval apart and crosses the
+		// Each chunk leaves the core pioInterval apart and crosses the
 		// link as an MWr TLP; the frame is complete at the device when
 		// the last chunk lands.
 		var txDone sim.Time
-		issued := start + cfg.PIOFixed
-		for off := 0; off < sz; off += cfg.PIOChunk {
-			n := cfg.PIOChunk
+		issued := start + pioFixed
+		for off := 0; off < sz; off += pioChunk {
+			n := pioChunk
 			if sz-off < n {
 				n = sz - off
 			}
@@ -100,12 +84,11 @@ func Loopback(complex *rc.RootComplex, cfg LoopbackConfig, ringDMA uint64, sz, c
 			if arrive > txDone {
 				txDone = arrive
 			}
-			issued += cfg.PIOInterval
+			issued += pioInterval
 		}
-		pioTime := txDone - start
 
 		// NIC: MAC/PHY out, loopback, MAC/PHY in (non-PCIe).
-		macTime := cfg.MACFixed + sim.Time(int64(cfg.MACPerByte)*int64(sz))
+		macTime := macFixed + macPerByte*sim.Time(sz)
 		rxReady := txDone + macTime
 
 		// RX: the NIC DMA-writes the frame and its descriptor; the
@@ -115,7 +98,7 @@ func Loopback(complex *rc.RootComplex, cfg LoopbackConfig, ringDMA uint64, sz, c
 		if err != nil {
 			return nil, err
 		}
-		desc, err := complex.DMAWrite(frame.LinkDone, ringDMA+uint64(sz), cfg.DescBytes)
+		desc, err := complex.DMAWrite(frame.LinkDone, ringDMA+uint64(sz), descBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -123,12 +106,14 @@ func Loopback(complex *rc.RootComplex, cfg LoopbackConfig, ringDMA uint64, sz, c
 		if frame.MemDone > visible {
 			visible = frame.MemDone
 		}
-		end := visible + cfg.PollGranularity
+		end := visible + pollGranularity
 
+		// The write-combining drain and the link crossing are both
+		// PCIe-side, so only the MAC time is non-PCIe.
 		s := LoopbackSample{
 			Total:   end - start,
 			NonPCIe: macTime,
-			PCIe:    (end - start) - macTime - pioTimeNonPCIe(pioTime),
+			PCIe:    (end - start) - macTime,
 		}
 		samples = append(samples, s)
 		// Space frames out so runs are independent.
@@ -136,13 +121,6 @@ func Loopback(complex *rc.RootComplex, cfg LoopbackConfig, ringDMA uint64, sz, c
 	}
 	return samples, nil
 }
-
-// pioTimeNonPCIe returns the part of the PIO phase not attributable to
-// PCIe. The write-combining drain and link crossing are both PCIe-side
-// costs, so nothing is subtracted; the function exists to make the
-// decomposition explicit (and greppable) next to the paper's firmware
-// hook.
-func pioTimeNonPCIe(sim.Time) sim.Time { return 0 }
 
 // MedianLoopback returns the median total latency and PCIe fraction
 // over the samples.

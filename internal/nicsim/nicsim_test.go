@@ -46,10 +46,10 @@ func buildStack(t *testing.T) (*sim.Kernel, *rc.RootComplex, *hostif.Buffer) {
 
 func TestLoopbackParamErrors(t *testing.T) {
 	_, complex, buf := buildStack(t)
-	if _, err := Loopback(complex, DefaultLoopback(), buf.DMAAddr(0), 0, 10); err == nil {
+	if _, err := Loopback(complex, buf.DMAAddr(0), 0, 10); err == nil {
 		t.Error("size 0 accepted")
 	}
-	if _, err := Loopback(complex, DefaultLoopback(), buf.DMAAddr(0), 64, 0); err == nil {
+	if _, err := Loopback(complex, buf.DMAAddr(0), 64, 0); err == nil {
 		t.Error("count 0 accepted")
 	}
 }
@@ -57,7 +57,7 @@ func TestLoopbackParamErrors(t *testing.T) {
 func TestLoopbackFig2SmallFrames(t *testing.T) {
 	// Fig 2: ~1000ns total around 128B with PCIe contributing ~90%.
 	_, complex, buf := buildStack(t)
-	samples, err := Loopback(complex, DefaultLoopback(), buf.DMAAddr(0), 128, 32)
+	samples, err := Loopback(complex, buf.DMAAddr(0), 128, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestLoopbackFig2SmallFrames(t *testing.T) {
 func TestLoopbackFig2LargeFrames(t *testing.T) {
 	// Fig 2: ~2400ns at 1500B with the PCIe share falling to ~77%.
 	_, complex, buf := buildStack(t)
-	samples, err := Loopback(complex, DefaultLoopback(), buf.DMAAddr(0), 1500, 32)
+	samples, err := Loopback(complex, buf.DMAAddr(0), 1500, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestLoopbackPCIeFractionFalls(t *testing.T) {
 	// The PCIe share decreases with frame size (Fig 2's right edge).
 	_, complex, buf := buildStack(t)
 	fr := func(sz int) float64 {
-		samples, err := Loopback(complex, DefaultLoopback(), buf.DMAAddr(0), sz, 16)
+		samples, err := Loopback(complex, buf.DMAAddr(0), sz, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestLoopbackLatencyRisesWithSize(t *testing.T) {
 	_, complex, buf := buildStack(t)
 	var prev sim.Time
 	for _, sz := range []int{64, 256, 512, 1024, 1500} {
-		samples, err := Loopback(complex, DefaultLoopback(), buf.DMAAddr(0), sz, 8)
+		samples, err := Loopback(complex, buf.DMAAddr(0), sz, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,18 +86,18 @@ func (f *linkFault) adjust(p *Port, srv *sim.Server, at sim.Time, wire int, dur 
 			f.nextRetrain = at + f.retrain.Exp(f.cfg.RetrainMTBF)
 		}
 		for at >= f.nextRetrain {
-			recovered := f.nextRetrain + f.cfg.RetrainDwell
+			recovered := f.nextRetrain + fault.RetrainDwell
 			f.ctr.Retrains++
 			f.ctr.NonFatal++
 			if at < recovered {
 				at = recovered
 			}
-			f.degradedUntil = recovered + f.cfg.DegradeTime
+			f.degradedUntil = recovered + fault.DegradeTime
 			f.nextRetrain = recovered + f.retrain.Exp(f.cfg.RetrainMTBF)
 		}
 	}
-	if at < f.degradedUntil && f.cfg.DegradeFactor > 1 {
-		dur *= sim.Time(f.cfg.DegradeFactor)
+	if at < f.degradedUntil {
+		dur *= fault.DegradeFactor
 	}
 	if f.cfg.BER > 0 {
 		pr := f.corruptProb(wire)
@@ -113,8 +113,8 @@ func (f *linkFault) adjust(p *Port, srv *sim.Server, at sim.Time, wire int, dur 
 				// and retrains before the final attempt.
 				f.ctr.Retrains++
 				f.ctr.NonFatal++
-				at += f.cfg.RetrainDwell
-				f.degradedUntil = at + f.cfg.DegradeTime
+				at += fault.RetrainDwell
+				f.degradedUntil = at + fault.DegradeTime
 				break
 			}
 		}

@@ -13,7 +13,7 @@ func faultyRC(t *testing.T, seed int64, cfg fault.Config) (*RootComplex, *fault.
 	t.Helper()
 	_, r, _ := newRC(t)
 	ctr := &fault.Counters{}
-	r.Port(0).InstallFaults(cfg.WithDefaults(),
+	r.Port(0).InstallFaults(cfg,
 		fault.NewStream(seed, 0, fault.ClassLink),
 		fault.NewStream(seed, 0, fault.ClassRetrain), ctr)
 	return r, ctr
@@ -112,7 +112,7 @@ func TestFaultCountersAccessor(t *testing.T) {
 		t.Error("counters on a fault-free port")
 	}
 	ctr := &fault.Counters{}
-	r.Port(0).InstallFaults(fault.Config{BER: 1e-9}.WithDefaults(),
+	r.Port(0).InstallFaults(fault.Config{BER: 1e-9},
 		fault.NewStream(1, 0, fault.ClassLink),
 		fault.NewStream(1, 0, fault.ClassRetrain), ctr)
 	if r.Port(0).FaultCounters() != ctr {

@@ -159,17 +159,13 @@ func (s *Socket) IOMMU() *iommu.IOMMU { return s.mmu }
 // a DMA crosses when its ingress socket is not the target's home.
 // mem.Config.RemoteLatency already charges the per-access remote
 // penalty the paper measured (§6.4); this adds explicit bandwidth
-// contention on the shared bus for multi-socket topologies.
+// contention for multi-socket topologies: crossings serialize on one
+// bus resource, so concurrent remote DMA streams queue behind each
+// other.
 type InterconnectConfig struct {
-	// Latency is the extra one-way latency per crossing, on top of the
-	// memory system's RemoteLatency calibration (often 0).
-	Latency sim.Time
 	// PSPerByte is the serialization cost of the payload on the bus in
-	// picoseconds per byte (0 = latency only).
+	// picoseconds per byte.
 	PSPerByte int64
-	// Shared serializes crossings on one bus resource, so concurrent
-	// remote DMA streams queue behind each other.
-	Shared bool
 }
 
 // barRange maps a bus-address window to the peer port owning it.
@@ -197,7 +193,7 @@ type RootComplex struct {
 	ranges   []barRange
 
 	xcfg *InterconnectConfig
-	xbus *sim.Server // non-nil when xcfg.Shared
+	xbus *sim.Server // non-nil with xcfg
 
 	// Statistics of port 0 (the degenerate single-device form).
 	LinkStats
@@ -242,8 +238,10 @@ func (r *RootComplex) AddSocket(cfg SocketConfig) (*Socket, error) {
 	if cfg.PipeSlots < 1 {
 		return nil, fmt.Errorf("rc: PipeSlots must be >= 1")
 	}
+	// Only jitter draws from the stream, so a socket without jitter
+	// takes none.
 	rng := cfg.RNG
-	if rng == nil {
+	if rng == nil && cfg.Jitter != nil {
 		rng = r.k.Rand()
 	}
 	s := &Socket{
@@ -262,11 +260,7 @@ func (r *RootComplex) AddSocket(cfg SocketConfig) (*Socket, error) {
 // cross-socket DMA pays only the memory system's RemoteLatency.
 func (r *RootComplex) SetInterconnect(cfg InterconnectConfig) {
 	r.xcfg = &cfg
-	if cfg.Shared {
-		r.xbus = sim.NewServer(r.k)
-	} else {
-		r.xbus = nil
-	}
+	r.xbus = sim.NewServer(r.k)
 }
 
 // crossSock charges the interconnect for n payload bytes crossing
@@ -277,11 +271,7 @@ func (r *RootComplex) crossSock(t sim.Time, sock *Socket, home, n int) sim.Time 
 	if r.xcfg == nil || home == sock.node {
 		return t
 	}
-	d := r.xcfg.Latency + sim.Time(r.xcfg.PSPerByte*int64(n))
-	if r.xbus != nil {
-		return r.xbus.ScheduleAt(t, d)
-	}
-	return t + d
+	return r.xbus.ScheduleAt(t, sim.Time(r.xcfg.PSPerByte*int64(n)))
 }
 
 // Sockets returns the router's sockets.

@@ -359,7 +359,7 @@ func TestBAROverlapRejected(t *testing.T) {
 	}
 }
 
-// TestCrossSocketInterconnect: with a second socket and an explicit
+// TestCrossSocketInterconnect: with a second socket and the
 // interconnect, a port on socket 1 accessing node-0 memory pays the
 // crossing; the same access from socket 0 does not.
 func TestCrossSocketInterconnect(t *testing.T) {
@@ -375,7 +375,8 @@ func TestCrossSocketInterconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetInterconnect(InterconnectConfig{Latency: 200 * sim.Nanosecond, PSPerByte: 62, Shared: true})
+	const psPerByte = 62
+	r.SetInterconnect(InterconnectConfig{PSPerByte: psPerByte})
 	p0, err := r.AddPort(PortConfig{Link: cfg.Link, WireDelay: cfg.WireDelay}, s0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -394,10 +395,12 @@ func TestCrossSocketInterconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The remote path pays the interconnect twice (request + data) plus
-	// the memory system's RemoteLatency relative to socket 1.
-	if remote.Complete <= local.Complete+2*200*sim.Nanosecond {
-		t.Errorf("cross-socket read %v not sufficiently later than local %v", remote.Complete, local.Complete)
+	// The remote path pays the memory system's RemoteLatency relative
+	// to socket 1 plus the 64-byte payload's serialization on the bus
+	// (the request crosses with no payload).
+	want := 100*sim.Nanosecond + 64*psPerByte*sim.Picosecond
+	if got := remote.Complete - local.Complete; got != want {
+		t.Errorf("cross-socket read %v - local %v = %v, want %v", remote.Complete, local.Complete, got, want)
 	}
 }
 

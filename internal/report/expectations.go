@@ -7,16 +7,6 @@ import (
 	"pciebench/internal/stats"
 )
 
-// Expectation is one paper-reported quantity checked against the
-// simulator.
-type Expectation struct {
-	Experiment string
-	Quantity   string
-	Paper      string
-	Measured   string
-	OK         bool
-}
-
 // Expectations compares the key quantities the paper reports against
 // the measured values of every figure in figs, producing the table
 // pcie-repro writes as expectations.tsv (quick-quality golden:

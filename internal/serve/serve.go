@@ -25,12 +25,12 @@
 //	                                 fabric cell runs its islands on,
 //	                                 and results are byte-identical at
 //	                                 every value, so it is not part of
-//	                                 the cache key), set=key=v1,v2
-//	                                 (repeatable axis/base overrides),
-//	                                 and ber= / cto= / retrain=
-//	                                 (fault-injection sugar for the
-//	                                 matching set= override, validated
-//	                                 with the spec).
+//	                                 the cache key) and set=key=v1,v2
+//	                                 (repeatable axis/base overrides,
+//	                                 fault injection included:
+//	                                 set=ber%3D1e-6), validated with
+//	                                 the spec; any other parameter
+//	                                 answers 400.
 //	                                 Returns 202 with the job id, or
 //	                                 503 with Retry-After: 1 while 256
 //	                                 jobs are queued or running.
@@ -69,6 +69,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"runtime"
 	"slices"
@@ -219,6 +220,9 @@ type submitResponse struct {
 	Results string `json:"results"`
 }
 
+// submitParams are the query parameters POST /v1/sweeps takes.
+var submitParams = []string{"set", "quality", "workers"}
+
 // handleSubmit accepts a Spec document (the versioned wire format) or
 // a {"run": name} envelope, applies overrides, and launches the job.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -263,15 +267,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	q := r.URL.Query()
-	overrides = append(overrides, q["set"]...)
-	// ?ber=, ?cto= and ?retrain= are sugar for set=<key>=...: fault
-	// injection is a first-class what-if axis. Validate parses the
-	// values like any other override and answers 400.
-	for _, key := range []string{"ber", "cto", "retrain"} {
-		if v := q.Get(key); v != "" {
-			overrides = append(overrides, key+"="+v)
+	// A parameter the route does not take would silently run another
+	// grid (a misspelt quality, a removed parameter), so it is refused.
+	for _, name := range slices.Sorted(maps.Keys(q)) {
+		if !slices.Contains(submitParams, name) {
+			apiError(w, http.StatusBadRequest, "unknown query parameter %q (valid: %s)",
+				name, strings.Join(submitParams, " "))
+			return
 		}
 	}
+	overrides = append(overrides, q["set"]...)
 	// Decode validated a bare document and Register a registered sweep,
 	// so only overrides leave something to validate. The job resolves
 	// its cells again when it runs and keeps none of them queued.

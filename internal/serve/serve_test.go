@@ -589,51 +589,58 @@ func TestJobTimeout(t *testing.T) {
 	waitState(t, ts, ok.ID, StateDone)
 }
 
-// TestBerQueryParameter: ?ber= is validated sugar for set=ber=..., the
-// fault-injection what-if axis of the serving surface.
+// TestBerQueryParameter: fault injection reaches a submission as a
+// set=ber=... override, validated with the spec: a sound BER runs and
+// one above 1 is a 400 that names the value and what it should be.
 func TestBerQueryParameter(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	sub := submit(t, ts, testSpec, "?ber=1e-6")
+	sub := submit(t, ts, testSpec, "?set=ber%3D1e-6")
 	waitState(t, ts, sub.ID, StateDone)
 
-	resp, err := http.Post(ts.URL+"/v1/sweeps?ber=2", "application/json", strings.NewReader(testSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("ber=2: %d %s (want 400)", resp.StatusCode, raw)
-	}
-	if !strings.Contains(string(raw), "bit error rate") {
-		t.Errorf("400 body %s does not explain the bad BER", raw)
-	}
+	wantBadRequest(t, ts, "?set=ber%3D2", `ber=\"2\"`, "bit error rate")
 }
 
-// TestFaultQueryParameters: ?cto= and ?retrain= mirror ?ber= — each is
-// validated sugar for the matching set= override, with the same 400
-// surface on a malformed value.
+// TestFaultQueryParameters: set=cto=... and set=retrain=... mirror
+// set=ber=... — each runs alone or together with the others, and a
+// malformed duration is a 400 that names the value.
 func TestFaultQueryParameters(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	for _, q := range []string{"?cto=50us", "?retrain=1ms", "?ber=1e-6&cto=50us&retrain=1ms"} {
+	for _, q := range []string{"?set=cto%3D50us", "?set=retrain%3D1ms", "?set=ber%3D1e-6&set=cto%3D50us&set=retrain%3D1ms"} {
 		sub := submit(t, ts, testSpec, q)
 		waitState(t, ts, sub.ID, StateDone)
 	}
 
-	for _, bad := range []string{"?cto=fast", "?retrain=-3"} {
-		resp, err := http.Post(ts.URL+"/v1/sweeps"+bad, "application/json", strings.NewReader(testSpec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: %d %s (want 400)", bad, resp.StatusCode, raw)
-		}
-		if !strings.Contains(string(raw), "duration") {
-			t.Errorf("%s: 400 body %s does not explain the bad duration", bad, raw)
+	wantBadRequest(t, ts, "?set=cto%3Dfast", `cto=\"fast\"`, "duration")
+	wantBadRequest(t, ts, "?set=retrain%3D-3", `retrain=\"-3\"`, "duration")
+}
+
+// TestSubmitQueryParameters: POST /v1/sweeps refuses any parameter it
+// does not take — a misspelt one, a removed one, or the old ?ber=
+// spelling — instead of running another grid.
+func TestSubmitQueryParameters(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+
+	for _, q := range []string{"ber", "simworkers", "qualty"} {
+		wantBadRequest(t, ts, "?"+q+"=1", `unknown query parameter \"`+q+`\" (valid: set quality workers)`)
+	}
+}
+
+// wantBadRequest posts testSpec with query and fails the test unless
+// the answer is a 400 whose body holds every one of want.
+func wantBadRequest(t *testing.T, ts *httptest.Server, query string, want ...string) {
+	t.Helper()
+	code, raw, _, err := request(ts, http.MethodPost, "/v1/sweeps"+query, testSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != http.StatusBadRequest {
+		t.Fatalf("%s: %d %s (want 400)", query, code, raw)
+	}
+	for _, w := range want {
+		if !strings.Contains(string(raw), w) {
+			t.Errorf("%s: 400 body %s does not name %s", query, raw, w)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // selfScheduler reschedules itself n times through the typed-event API.
 type selfScheduler struct{ n int }
@@ -70,5 +73,22 @@ func TestMultiServerEarliestSlot(t *testing.T) {
 	// its own start time.
 	if got := s.ScheduleAt(1000, 10); got != 1010 {
 		t.Fatalf("late reservation done at %v, want 1010", got)
+	}
+}
+
+var kernelSink *Kernel
+
+// TestRandBuiltOnFirstDraw: New allocates the kernel alone, and the
+// source Rand builds on first use replays math/rand's stream for the
+// kernel's seed, so deferring it moves no draw.
+func TestRandBuiltOnFirstDraw(t *testing.T) {
+	if allocs := testing.AllocsPerRun(10, func() { kernelSink = New(7) }); allocs != 1 {
+		t.Errorf("New allocated %.0f times, want 1 (the kernel)", allocs)
+	}
+	k, want := New(7), rand.New(rand.NewSource(7))
+	for i := 0; i < 100; i++ {
+		if got, exp := k.Rand().Int63(), want.Int63(); got != exp {
+			t.Fatalf("draw %d: %d, math/rand's seed-7 stream draws %d", i, got, exp)
+		}
 	}
 }

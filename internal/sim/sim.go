@@ -112,7 +112,8 @@ type Kernel struct {
 	now    Time
 	events []event // 4-ary min-heap ordered by (at, seq)
 	seq    uint64
-	rng    *rand.Rand
+	seed   int64
+	rng    *rand.Rand // built by the first Rand call
 
 	// Executed counts events run, a cheap progress/debug metric.
 	Executed uint64
@@ -120,14 +121,24 @@ type Kernel struct {
 
 // New returns a kernel whose random source is seeded with seed.
 func New(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+	return &Kernel{seed: seed}
 }
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Rand returns the kernel's deterministic random source.
-func (k *Kernel) Rand() *rand.Rand { return k.rng }
+// Rand returns the kernel's deterministic random source. The source
+// is built on the first call, so a kernel that draws nothing allocates
+// none; it is seeded the same whenever it is built, so every draw is
+// the same.
+func (k *Kernel) Rand() *rand.Rand {
+	if k.rng == nil {
+		k.seedRand() // out of line, so Rand stays inlinable
+	}
+	return k.rng
+}
+
+func (k *Kernel) seedRand() { k.rng = rand.New(rand.NewSource(k.seed)) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is a
 // programming error and panics.

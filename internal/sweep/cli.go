@@ -11,14 +11,12 @@ import (
 	"pciebench/internal/cache"
 )
 
-// The helpers below are the shared CLI surface of cmd/pcie-repro and
-// cmd/pcie-bench: list registered sweeps, load a JSON spec, and run a
-// grid through the Engine with overrides applied and the result
-// emitted. Keeping the dispatch here means the commands cannot drift
-// apart — they parse flags, fill a CLI and call Execute.
+// The helpers below are the grid surface of cmd/pcie-repro: list
+// registered sweeps, load a JSON spec, and run a grid through the
+// Engine with overrides applied and the result emitted.
 
-// CLI is the shared sweep dispatch of the commands: exactly one of
-// List, RunName or SpecPath selects the action.
+// CLI is pcie-repro's sweep dispatch (-list, -run, -spec): exactly one
+// of List, RunName or SpecPath selects the action.
 type CLI struct {
 	// List prints the registered sweeps and exits.
 	List bool

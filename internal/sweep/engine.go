@@ -13,11 +13,11 @@ import (
 )
 
 // Engine is the single execution entry point every grid shares — the
-// CLIs (pcie-repro, pcie-bench -run/-spec/-suite) and the serving
-// layer (internal/serve) all drive sweeps through it. A pcie-bench
-// single run is one cell measured by Single, which shares the engine's
-// measurement code but needs none of its grid, seed mixing, quality
-// defaults or cache. A run is expand -> dedup-against-cache -> execute
+// CLIs (pcie-repro's figures and -run/-spec grids, pcie-bench -suite)
+// and the serving layer (internal/serve) all drive sweeps through it. A
+// pcie-bench single run is one cell measured by Single, which shares
+// the engine's measurement code but needs none of its grid, seed
+// mixing, quality defaults or cache. A run is expand -> dedup-against-cache -> execute
 // -> emit:
 //
 //   - the grid expands to cells in deterministic enumeration order;

@@ -515,8 +515,8 @@ func faultSnapshot(fab *topo.Fabric) []fault.Counters {
 // loopback with the RX ring hot in a polling application.
 func measureLoopback(inst *sysconf.Instance, cfg Config) (Measurement, error) {
 	inst.Buffer.WarmHost(0, 64<<10)
-	samples, err := nicsim.Loopback(inst.RC, nicsim.DefaultLoopback(),
-		inst.Buffer.DMAAddr(0), cfg.Params.TransferSize, cfg.Params.Transactions)
+	samples, err := nicsim.Loopback(inst.RC, inst.Buffer.DMAAddr(0),
+		cfg.Params.TransferSize, cfg.Params.Transactions)
 	if err != nil {
 		return Measurement{}, err
 	}

@@ -21,11 +21,11 @@
 // the CLIs and the HTTP serving layer (internal/serve): documents
 // carry a "version" field (SpecVersion; legacy version-less documents
 // read as version 1), unknown fields are rejected with errors naming
-// the valid keys, and every grid — pcie-repro and its ablations,
-// pcie-bench -run/-spec/-suite, pcie-served — executes through the
-// same Engine, which dedups cells against a content-addressed result
-// cache (internal/cache) keyed by canonical cell spec + seed + build
-// version. A pcie-bench single run is one cell, measured by Single
+// the valid keys, and every grid — pcie-repro's figures, ablations and
+// -run/-spec grids, pcie-bench -suite, pcie-served — executes through
+// the same Engine, which dedups cells against a content-addressed
+// result cache (internal/cache) keyed by canonical cell spec + seed +
+// build version. A pcie-bench single run is one cell, measured by Single
 // through the same code.
 package sweep
 

@@ -334,7 +334,7 @@ func (s System) TopoSpec(shape topo.Shape, opt Options) (topo.Spec, error) {
 		})
 	}
 	if sockets > 1 {
-		spec.Interconnect = &rc.InterconnectConfig{PSPerByte: QPIPSPerByte, Shared: true}
+		spec.Interconnect = &rc.InterconnectConfig{PSPerByte: QPIPSPerByte}
 	}
 
 	link := pcie.DefaultGen3x8()

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"pciebench/internal/rc"
@@ -207,78 +206,9 @@ func TestPropertyCoupledInvariance(t *testing.T) {
 	}
 }
 
-// TestPeersCoupling pins the declared-P2P bugfix: naming a peer pair in
-// Spec.Peers pulls both endpoints into one island, so the pair builds
-// serially even at SimWorkers 4 and its BAR traffic routes inside one
-// address map instead of hitting the runtime "crosses simulation
-// domains" refusal.
-func TestPeersCoupling(t *testing.T) {
-	spec := func(peers [][2]int) topo.Spec {
-		sys, err := sysconf.ByName("NFP6000-BDW")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp, err := sys.TopoSpec(
-			topo.Shape{Endpoints: 2, Placement: "split", LocalBuffers: true},
-			sysconf.Options{Seed: 7, BufferSize: 1 << 20, NoJitter: true},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp.Peers = peers
-		sp.SimWorkers = 4
-		return sp
-	}
-
-	// Without the declaration the endpoints land on separate islands and
-	// the peer write is refused at the routing boundary.
-	fab, err := topo.Build(spec(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fab.Islands) != 2 {
-		t.Fatalf("islands %v, want two singletons", fab.Islands)
-	}
-	addr, err := fab.BARAddr(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fab.Endpoints[0].Port.DMAWrite(fab.EndpointKernel(0).Now(), addr, 64); err == nil ||
-		!strings.Contains(err.Error(), "crosses simulation domains") {
-		t.Fatalf("undeclared peer write: err %v, want a domain-crossing rejection", err)
-	}
-
-	// Declaring the pair couples them into one island, which builds
-	// serially, and the peer write goes through.
-	fab, err = topo.Build(spec([][2]int{{0, 1}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fab.Parallel() || !reflect.DeepEqual(fab.Islands, [][]int{{0, 1}}) {
-		t.Fatalf("peered fabric: %d kernels, islands %v, want one serial island {0,1}", len(fab.Kernels), fab.Islands)
-	}
-	addr, err = fab.BARAddr(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fab.Endpoints[0].Port.DMAWrite(fab.EndpointKernel(0).Now(), addr, 64); err != nil {
-		t.Fatalf("declared peer write failed: %v", err)
-	}
-
-	// Validation rejects malformed declarations.
-	bad := spec([][2]int{{0, 2}})
-	if _, err := topo.Build(bad); err == nil || !strings.Contains(err.Error(), "peer pair") {
-		t.Fatalf("out-of-range peer pair: err %v, want a validation error", err)
-	}
-	bad = spec([][2]int{{1, 1}})
-	if _, err := topo.Build(bad); err == nil || !strings.Contains(err.Error(), "itself") {
-		t.Fatalf("self peer pair: err %v, want a validation error", err)
-	}
-}
-
 // TestJitterDoesNotSerialize pins the satellite bugfix around the old
 // jitter collapse: jitter configured on a socket no endpoint ingresses
-// at — or on every socket, with Interconnect{Shared: false} — must not
+// at — or on every socket, with the inter-socket bus modelled — must not
 // cost the fabric its partition.
 func TestJitterDoesNotSerialize(t *testing.T) {
 	sys, err := sysconf.ByName("NFP6000-BDW")
@@ -310,17 +240,18 @@ func TestJitterDoesNotSerialize(t *testing.T) {
 		t.Fatalf("jitter on an unused socket serialized the fabric: islands %v", fab.Islands)
 	}
 
-	// Jitter everywhere plus an explicit non-shared interconnect model:
-	// islands own their streams, so this partitions too.
+	// Jitter everywhere plus the inter-socket bus: islands own their
+	// streams, and local buffers never cross the bus, so this
+	// partitions too.
 	for i := range sp.Sockets {
 		sp.Sockets[i].Jitter = rc.ConstantJitter(500 * sim.Nanosecond)
 	}
-	sp.Interconnect = &rc.InterconnectConfig{Shared: false}
+	sp.Interconnect = &rc.InterconnectConfig{PSPerByte: sysconf.QPIPSPerByte}
 	fab, err = topo.Build(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fab.Parallel() || len(fab.Islands) != 2 {
-		t.Fatalf("jittery non-shared-interconnect fabric serialized: islands %v", fab.Islands)
+		t.Fatalf("jittery fabric with the inter-socket bus serialized: islands %v", fab.Islands)
 	}
 }

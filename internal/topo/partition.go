@@ -17,9 +17,6 @@ import "math/rand"
 //   - the shared inter-socket bus, when the spec models one: every
 //     endpoint whose buffer is remote to its ingress socket queues on
 //     the one xbus resource, so all such endpoints couple,
-//   - a declared peer pairing (Spec.Peers): static P2P intent means
-//     their BAR traffic must route inside one island's address map
-//     instead of hitting the runtime cross-domain refusal,
 //   - the same IOMMU translation unit: a global-scope unit sits on
 //     every DMA path (one IO-TLB, one walker pool, one LRU clock), so
 //     it couples all endpoints; per-socket units (VT-d DRHD scope)
@@ -35,9 +32,9 @@ import "math/rand"
 // partitioned builds consume identical jitter. That is why Build
 // computes the partition whatever the worker budget.
 //
-// Undeclared peer-to-peer BAR traffic cannot be seen statically; it is
-// guarded at run time instead (rc rejects DMA that would cross
-// domains).
+// Peer-to-peer BAR traffic cannot be seen statically; it is guarded at
+// run time instead (rc rejects DMA that would cross domains), and p2p
+// cells build serially.
 
 // unionFind is a plain union-find over endpoint indices.
 type unionFind []int
@@ -109,17 +106,13 @@ func islandsOf(spec Spec) [][]int {
 		sock := spec.socketOf(i)
 		couple(bySocket, sock, i)
 		couple(byNode, ep.BufferNode, i)
-		if spec.Interconnect != nil && spec.Interconnect.Shared &&
-			ep.BufferNode != spec.Sockets[sock].Node {
+		if spec.Interconnect != nil && ep.BufferNode != spec.Sockets[sock].Node {
 			if xbusFirst >= 0 {
 				u.union(xbusFirst, i)
 			} else {
 				xbusFirst = i
 			}
 		}
-	}
-	for _, pr := range spec.Peers {
-		u.union(pr[0], pr[1])
 	}
 
 	var islands [][]int

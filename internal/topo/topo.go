@@ -146,19 +146,13 @@ type Spec struct {
 	Sockets      []SocketSpec
 	Switches     []SwitchSpec
 	Endpoints    []EndpointSpec
-	// Peers declares static peer-to-peer intent: each pair of endpoint
-	// indices exchanges BAR-window DMA. The partitioner couples every
-	// declared pair into one island, so declared peer traffic always
-	// routes inside a single address map instead of tripping the
-	// runtime cross-domain refusal on a parallel build.
-	Peers [][2]int
 	// SimWorkers asks Build for a partitioned fabric run on up to this
 	// many worker goroutines (<= 1, the default, builds the serial
 	// single-kernel form). Parallelism materializes only when the spec
 	// partitions into more than one island (see islandsOf): each island
 	// then runs all of its endpoints on one event kernel of its own.
 	// A spec that forms one island — a shared switch, socket or buffer
-	// node, a global-scope IOMMU, declared peers — builds serially.
+	// node, a global-scope IOMMU — builds serially.
 	// Results are byte-identical either way.
 	SimWorkers int
 	// Faults, when enabled, arms deterministic fault injection on
@@ -198,16 +192,6 @@ func (s Spec) Validate() error {
 		}
 		if ep.BufferNode < 0 || ep.BufferNode >= s.Mem.Nodes {
 			return fmt.Errorf("topo: endpoint %d's buffer node %d outside the %d-node memory system", i, ep.BufferNode, s.Mem.Nodes)
-		}
-	}
-	for i, pr := range s.Peers {
-		for _, e := range pr {
-			if e < 0 || e >= len(s.Endpoints) {
-				return fmt.Errorf("topo: peer pair %d references endpoint %d of %d", i, e, len(s.Endpoints))
-			}
-		}
-		if pr[0] == pr[1] {
-			return fmt.Errorf("topo: peer pair %d pairs endpoint %d with itself", i, pr[0])
 		}
 	}
 	if _, err := ParseIOMMUScope(s.IOMMUScope); err != nil {
@@ -376,7 +360,7 @@ func addEndpoint(f *Fabric, router *rc.RootComplex, k *sim.Kernel, i int, es End
 		if seed == 0 {
 			seed = 1
 		}
-		fc := f.Spec.Faults.WithDefaults()
+		fc := *f.Spec.Faults
 		ep.Faults = &fault.Counters{}
 		port.InstallFaults(fc,
 			fault.NewStream(seed, i, fault.ClassLink),

@@ -147,10 +147,12 @@ func DesignByName(name string) (model.NIC, error) {
 
 // Defaults applied by Run for zero Config fields.
 const (
-	DefaultFlows       = 1 << 20
-	DefaultWindow      = 32
-	DefaultQueueStride = 64 << 10
-	defaultFrame       = 1500
+	DefaultFlows  = 1 << 20
+	DefaultWindow = 32
+	defaultFrame  = 1500
+	// queueStride is the byte distance between queue buffer regions;
+	// checkFrame's frame cap keeps every frame inside one.
+	queueStride = 64 << 10
 	// mmioReadLatency is the device-side register read response time,
 	// matching the original throughput harness.
 	mmioReadLatency = 40 * sim.Nanosecond
@@ -171,9 +173,6 @@ type Config struct {
 	Design model.NIC
 	// Moderation rewrites Design's ring mechanisms on every queue.
 	Moderation Moderation
-	// PerQueue optionally overrides Moderation queue by queue; when
-	// non-nil its length must equal Queues.
-	PerQueue []Moderation
 	// Sizes draws per-packet frame sizes (default fixed 1500B).
 	Sizes SizeDist
 	// Arrival generates packet arrivals (default Saturate).
@@ -182,9 +181,6 @@ type Config struct {
 	// draws, arrival gaps — decoupled from the kernel rng so the
 	// host-side jitter stream is untouched (0 uses 1).
 	Seed int64
-	// QueueStride is the byte distance between queue buffer regions
-	// (default 64KB).
-	QueueStride int
 	// BufferBytes, when > 0, bounds the DMA footprint: Run fails
 	// loudly if the queues' regions do not fit.
 	BufferBytes int
@@ -216,9 +212,6 @@ func (c Config) WithDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.QueueStride <= 0 {
-		c.QueueStride = DefaultQueueStride
-	}
 	return c
 }
 
@@ -226,30 +219,23 @@ func (c Config) WithDefaults() Config {
 // queue count times stride — which callers warm as the rings' hot
 // region and validate against the host buffer.
 func (c Config) Footprint() int {
-	c = c.WithDefaults()
-	return c.Queues * c.QueueStride
+	return c.WithDefaults().Queues * queueStride
 }
 
 // Validate checks the resolved config.
 func (c Config) Validate() error {
 	c = c.WithDefaults()
-	if c.PerQueue != nil && len(c.PerQueue) != c.Queues {
-		return fmt.Errorf("workload: %d per-queue moderations for %d queues", len(c.PerQueue), c.Queues)
-	}
 	if err := c.Design.Validate(); err != nil {
 		return err
 	}
 	if err := checkFrame(c.Sizes.Max()); err != nil {
 		return err
 	}
-	if c.Sizes.Max() > c.QueueStride {
-		return fmt.Errorf("workload: max frame %dB exceeds queue stride %dB", c.Sizes.Max(), c.QueueStride)
-	}
 	if c.BufferBytes > 0 {
-		need := c.Queues * c.QueueStride
+		need := c.Queues * queueStride
 		if need > c.BufferBytes {
 			return fmt.Errorf("workload: %d queues x %dB stride = %dB exceeds the %dB host buffer",
-				c.Queues, c.QueueStride, need, c.BufferBytes)
+				c.Queues, queueStride, need, c.BufferBytes)
 		}
 	}
 	return nil
@@ -574,15 +560,13 @@ func newRunState(k *sim.Kernel, path Path, bufDMA uint64, cfg Config, pairs int,
 		pairs:   pairs,
 		closed:  cfg.Arrival.Saturating(),
 	}
+	// Every queue reads the one moderated mix; none writes it.
+	mix := compileMix(cfg.Moderation.Apply(cfg.Design))
 	for q := range s.queues {
-		mod := cfg.Moderation
-		if cfg.PerQueue != nil {
-			mod = cfg.PerQueue[q]
-		}
 		lp := getLatBuf()
 		s.queues[q] = queueState{
-			addr:   bufDMA + uint64(q)*uint64(cfg.QueueStride),
-			mix:    compileMix(mod.Apply(cfg.Design)),
+			addr:   bufDMA + uint64(q)*queueStride,
+			mix:    mix,
 			lat:    *lp,
 			latPtr: lp,
 		}
@@ -670,7 +654,7 @@ func (s *runState) latencyRuns(runs [][]stats.Sample) [][]stats.Sample {
 
 // Run drives complex with cfg's traffic until pairs packet pairs have
 // completed, with each queue's buffer region starting at bufDMA +
-// queue*QueueStride, and returns the per-queue and aggregate rates and
+// queue*64KB, and returns the per-queue and aggregate rates and
 // latency percentiles. The simulation starts at the kernel's current
 // time, so a fresh instance and a shared one measure the same way.
 func Run(k *sim.Kernel, complex *rc.RootComplex, bufDMA uint64, cfg Config, pairs int) (*Result, error) {
